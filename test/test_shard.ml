@@ -64,6 +64,77 @@ let test_shards1_golden_digest () =
   Alcotest.(check (float 1e-9)) "pinned final clock" 3492.6241034143059
     (Sim.Engine.now engine)
 
+(* The sharded path pinned the same way: a same-seed 2-shard run in
+   which two clients create a directory on each shard, fill the shard-0
+   one, move rows across shards (the two-group commit) and within a
+   shard, and read back with single and multi-shard lookups. Trace
+   digest, op count, event count and the clock at which the last
+   client finished are pinned. *)
+let test_shards2_golden_digest () =
+  let params = { Dirsvc.Params.default with shards = 2 } in
+  let cluster = C.create ~seed:6002L ~params C.Group_disk in
+  let engine = C.engine cluster in
+  let trace = Sim.Trace.create ~capacity:262_144 () in
+  Sim.Engine.set_trace engine (Some trace);
+  Alcotest.(check bool) "cluster boots" true
+    (C.await_serving cluster ~count:(C.total_servers cluster));
+  let ops = ref 0 and finished = ref [] in
+  let op f =
+    let v = with_unavailable_retry f in
+    incr ops;
+    v
+  in
+  let found = ref [] in
+  let work client =
+    let dir shard =
+      op (fun () ->
+          Dirsvc.Client.create_dir
+            ~placement:(placement_for ~shards:2 shard)
+            client ~columns:[ "owner" ])
+    in
+    let a = dir 0 and b = dir 1 in
+    let a2 = dir 0 in
+    for i = 1 to 4 do
+      op (fun () ->
+          Dirsvc.Client.append_row client a ~name:(Printf.sprintf "r%d" i) [ a ])
+    done;
+    op (fun () -> Dirsvc.Client.move_row client ~src:a ~dst:b ~name:"r1");
+    op (fun () -> Dirsvc.Client.move_row client ~src:a ~dst:b ~name:"r2");
+    op (fun () -> Dirsvc.Client.move_row client ~src:a ~dst:a2 ~name:"r3");
+    op (fun () -> Dirsvc.Client.move_row client ~src:b ~dst:a ~name:"r1");
+    let r2 = op (fun () -> Dirsvc.Client.lookup client b "r2") in
+    let set =
+      op (fun () ->
+          Dirsvc.Client.lookup_set client
+            [ (a, "r1"); (b, "r2"); (a2, "r3"); (a, "r4"); (b, "r1") ])
+    in
+    found := List.map Option.is_some (r2 :: set) :: !found
+  in
+  for _ = 1 to 2 do
+    let client = C.client cluster in
+    let node = Rpc.Transport.node (Dirsvc.Client.transport client) in
+    Sim.Proc.boot engine node (fun () ->
+        work client;
+        finished := Sim.Engine.now engine :: !finished)
+  done;
+  C.run_until cluster (Sim.Engine.now engine +. 20_000.0);
+  Alcotest.(check int) "both clients finished" 2 (List.length !finished);
+  Alcotest.(check (list (list bool))) "rows where the moves left them"
+    [ [ true; true; true; true; true; false ];
+      [ true; true; true; true; true; false ] ]
+    !found;
+  Alcotest.(check int) "three cross-shard moves per client" 6
+    (Sim.Metrics.count (C.metrics cluster) "dirsvc.cross_shard");
+  Alcotest.(check int) "trace ring did not overflow" 0 (Sim.Trace.dropped trace);
+  Alcotest.(check string) "pinned trace digest"
+    "08ae0eb24604e0eac98e0309ddddbf92"
+    (Digest.to_hex (Digest.string (Sim.Trace.to_jsonl trace)));
+  Alcotest.(check int) "pinned op count" 26 !ops;
+  Alcotest.(check int) "pinned event count" 30_528
+    (Sim.Engine.events_executed engine);
+  Alcotest.(check (float 1e-9)) "pinned finish clock" 2553.8762692758037
+    (List.fold_left max 0.0 !finished)
+
 (* Per-shard network seeds come from [Sim.Rng.derive], whose streams are
    prefix-stable in the derived count: adding a shard must not perturb
    an existing shard's randomness. Boot 2- and 3-shard deployments from
@@ -254,6 +325,8 @@ let suite =
   [
     tc "shards=1 matches pinned golden digest" `Quick
       test_shards1_golden_digest;
+    tc "shards=2 with cross-shard moves matches pinned golden digest" `Quick
+      test_shards2_golden_digest;
     tc "adding a shard leaves other shards' streams intact" `Quick
       test_shard_seed_independence;
     tc "wrong-shard bounce and re-route" `Quick test_wrong_shard_bounce;

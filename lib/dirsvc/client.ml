@@ -1,45 +1,19 @@
-(* A client either talks straight to one service port (the classic
-   deployments) or routes through the shard router. The [Single] path
-   is byte-for-byte the pre-sharding client. *)
-type route =
-  | Single of { transport : Rpc.Transport.t; port : string }
-  | Sharded of Shard_router.t
+(* A client is a shard router over M >= 1 replica groups; one shard is
+   the paper's deployment. Capability-bearing requests go to the shard
+   that minted the capability. *)
+type t = Shard_router.t
 
-type t = { route : route; timeout : float }
+let make router = router
 
-let make ?(timeout = 5_000.0) transport ~port =
-  { route = Single { transport; port }; timeout }
+let transport t = Shard_router.transport t ~shard:0
 
-let make_sharded ?(timeout = 5_000.0) router = { route = Sharded router; timeout }
-
-let transport t =
-  match t.route with
-  | Single { transport; _ } -> transport
-  | Sharded router -> Shard_router.transport router ~shard:0
-
-let router t =
-  match t.route with Single _ -> None | Sharded router -> Some router
+let router t = t
 
 let shard_of_cap t cap =
-  match t.route with
-  | Single _ -> 0
-  | Sharded router -> (
-      match Shard_router.shard_of_cap router cap with Some k -> k | None -> 0)
+  match Shard_router.shard_of_cap t cap with Some k -> k | None -> 0
 
-let call t ~shard request =
-  match t.route with
-  | Single { transport; port } -> (
-      match
-        Rpc.Transport.trans transport ~port ~timeout:t.timeout
-          (Wire.Dir_request request)
-      with
-      | Wire.Dir_reply (Wire.Err_rep e) -> raise (Wire.Dir_error e)
-      | Wire.Dir_reply reply -> reply
-      | _ -> raise (Wire.Dir_error (Wire.Unavailable "malformed reply")))
-  | Sharded router -> Shard_router.call router ~shard request
+let call = Shard_router.call
 
-(* Route a capability-bearing request to the shard that minted the
-   capability; [Single] always routes to shard 0. *)
 let call_cap t cap request = call t ~shard:(shard_of_cap t cap) request
 
 let expect_ok = function
@@ -48,10 +22,10 @@ let expect_ok = function
 
 let create_dir ?placement t ~columns =
   let shard =
-    match (t.route, placement) with
-    | Single _, _ | Sharded _, None -> 0
-    | Sharded router, Some name ->
-        Shard_router.shard_of_name ~shards:(Shard_router.shards router) name
+    match placement with
+    | None -> 0
+    | Some name ->
+        Shard_router.shard_of_name ~shards:(Shard_router.shards t) name
   in
   match
     call t ~shard
@@ -87,40 +61,27 @@ let lookup_batch t ~shard ~column items =
   | Wire.Lookup_rep results -> results
   | _ -> raise (Wire.Dir_error (Wire.Unavailable "unexpected reply"))
 
+(* One request per shard touched, in shard order, with the results
+   scattered back into request order. *)
 let lookup_set t ?(column = 0) items =
-  match t.route with
-  | Single _ -> lookup_batch t ~shard:0 ~column items
-  | Sharded _ ->
-      (* One request per shard touched, results scattered back into
-         request order. *)
-      let n = List.length items in
-      let out = Array.make n None in
-      let by_shard = Hashtbl.create 4 in
-      List.iteri
-        (fun i ((cap, _) as item) ->
-          let shard = shard_of_cap t cap in
-          let prev =
-            match Hashtbl.find_opt by_shard shard with
-            | Some entries -> entries
-            | None -> []
-          in
-          Hashtbl.replace by_shard shard ((i, item) :: prev))
-        items;
-      let batches =
-        Hashtbl.fold
-          (fun shard entries acc -> (shard, List.rev entries) :: acc)
-          by_shard []
-        |> List.sort compare
-      in
-      List.iter
-        (fun (shard, entries) ->
-          let results = lookup_batch t ~shard ~column (List.map snd entries) in
-          List.iter2 (fun (i, _) result -> out.(i) <- result) entries results)
-        batches;
-      Array.to_list out
+  let items =
+    List.mapi (fun i ((cap, _) as item) -> (i, shard_of_cap t cap, item)) items
+  in
+  let out = Array.make (List.length items) None in
+  for shard = 0 to Shard_router.shards t - 1 do
+    match List.filter (fun (_, k, _) -> k = shard) items with
+    | [] -> ()
+    | batch ->
+        let results =
+          lookup_batch t ~shard ~column
+            (List.map (fun (_, _, item) -> item) batch)
+        in
+        List.iter2 (fun (i, _, _) result -> out.(i) <- result) batch results
+  done;
+  Array.to_list out
 
-let lookup t ?column cap name =
-  match lookup_set t ?column [ (cap, name) ] with
+let lookup t ?(column = 0) cap name =
+  match lookup_batch t ~shard:(shard_of_cap t cap) ~column [ (cap, name) ] with
   | [ result ] -> result
   | _ -> raise (Wire.Dir_error (Wire.Unavailable "unexpected reply"))
 
@@ -138,56 +99,56 @@ let move_row ?hook t ~src ~dst ~name =
     | Some (cap, mask) -> (cap, mask)
     | None -> raise (Wire.Dir_error (Wire.Op_error Directory.Not_found))
   in
-  match t.route with
-  | Sharded router when shard_of_cap t src <> shard_of_cap t dst ->
-      (* Two-group coordinator commit: prepare both halves through
-         their shards' sequencers, then commit source (the delete)
-         first — its commit record is the commit point — then
-         destination. A coordinator that dies mid-protocol leaves the
-         shards' resolvers to finish the transaction; [hook] raising
-         at a checkpoint simulates exactly that crash, so no abort is
-         sent on a hook exception. *)
-      Shard_router.count_cross router;
-      let txid = Shard_router.fresh_txid router in
-      let src_shard = shard_of_cap t src in
-      let dst_shard = shard_of_cap t dst in
-      let src_port = Shard_router.port router ~shard:src_shard in
-      let dst_port = Shard_router.port router ~shard:dst_shard in
-      let abort_both () =
-        (try xcall t ~shard:src_shard (Wire.Xabort { txid }) with _ -> ());
-        try xcall t ~shard:dst_shard (Wire.Xabort { txid }) with _ -> ()
-      in
-      let prepare shard cmd =
-        try xcall t ~shard cmd
-        with (Wire.Dir_error _ | Rpc.Transport.Rpc_failure _) as e ->
-          abort_both ();
-          raise e
-      in
-      prepare src_shard
-        (Wire.Xprepare
-           {
-             txid;
-             op = Directory.Delete_row { cap = src; name };
-             peer_port = dst_port;
-             src = true;
-           });
-      checkpoint "prepared_src";
-      prepare dst_shard
-        (Wire.Xprepare
-           {
-             txid;
-             op =
-               Directory.Append_row
-                 { cap = dst; name; caps = [ rowcap ]; masks = [ mask ] };
-             peer_port = src_port;
-             src = false;
-           });
-      checkpoint "prepared_dst";
-      xcall t ~shard:src_shard (Wire.Xcommit { txid });
-      checkpoint "committed_src";
-      xcall t ~shard:dst_shard (Wire.Xcommit { txid });
-      checkpoint "committed_dst"
-  | Single _ | Sharded _ ->
-      (* Same group orders both halves; no coordination needed. *)
-      append_row t dst ~name ~masks:[ mask ] [ rowcap ];
-      delete_row t src ~name
+  let src_shard = shard_of_cap t src and dst_shard = shard_of_cap t dst in
+  if src_shard <> dst_shard then begin
+    (* Two-group coordinator commit: prepare both halves through
+       their shards' sequencers, then commit source (the delete)
+       first — its commit record is the commit point — then
+       destination. A coordinator that dies mid-protocol leaves the
+       shards' resolvers to finish the transaction; [hook] raising
+       at a checkpoint simulates exactly that crash, so no abort is
+       sent on a hook exception. *)
+    Shard_router.count_cross t;
+    let txid = Shard_router.fresh_txid t in
+    let src_port = Shard_router.port t ~shard:src_shard in
+    let dst_port = Shard_router.port t ~shard:dst_shard in
+    let abort_both () =
+      (try xcall t ~shard:src_shard (Wire.Xabort { txid }) with _ -> ());
+      try xcall t ~shard:dst_shard (Wire.Xabort { txid }) with _ -> ()
+    in
+    let prepare shard cmd =
+      try xcall t ~shard cmd
+      with (Wire.Dir_error _ | Rpc.Transport.Rpc_failure _) as e ->
+        abort_both ();
+        raise e
+    in
+    prepare src_shard
+      (Wire.Xprepare
+         {
+           txid;
+           op = Directory.Delete_row { cap = src; name };
+           peer_port = dst_port;
+           src = true;
+         });
+    checkpoint "prepared_src";
+    prepare dst_shard
+      (Wire.Xprepare
+         {
+           txid;
+           op =
+             Directory.Append_row
+               { cap = dst; name; caps = [ rowcap ]; masks = [ mask ] };
+           peer_port = src_port;
+           src = false;
+         });
+    checkpoint "prepared_dst";
+    xcall t ~shard:src_shard (Wire.Xcommit { txid });
+    checkpoint "committed_src";
+    xcall t ~shard:dst_shard (Wire.Xcommit { txid });
+    checkpoint "committed_dst"
+  end
+  else begin
+    (* Same group orders both halves; no coordination needed. *)
+    append_row t dst ~name ~masks:[ mask ] [ rowcap ];
+    delete_row t src ~name
+  end

@@ -1,32 +1,29 @@
 (** Client library for the directory service.
 
-    One [t] per client process; it rides an RPC transport, so server
-    selection uses the locate / port-cache / NOTHERE mechanism — the
-    load-balancing behaviour behind the paper's Figure 8.
+    A client is a {!Shard_router} over M >= 1 replica groups; one shard
+    is the paper's deployment (§3). Each shard is reached through its
+    own RPC transport, so server selection uses the locate / port-cache
+    / NOTHERE mechanism — the load-balancing behaviour behind the
+    paper's Figure 8. Requests that carry a capability go to the shard
+    that minted it.
 
     All operations raise {!Wire.Dir_error} on a service-reported error
     and {!Rpc.Transport.Rpc_failure} when no server answers at all. *)
 
 type t
 
-val make : ?timeout:float -> Rpc.Transport.t -> port:string -> t
+val make : Shard_router.t -> t
 
-(** A client for a sharded deployment: requests route through the
-    shard router's partition map and follow [Wrong_shard] bounces. *)
-val make_sharded : ?timeout:float -> Shard_router.t -> t
-
-(** The underlying transport (shard 0's in a sharded client). *)
+(** Shard 0's transport. *)
 val transport : t -> Rpc.Transport.t
 
-(** The shard router, when this client is sharded. *)
-val router : t -> Shard_router.t option
+val router : t -> Shard_router.t
 
 (** Updates (Fig. 2). *)
 
 (** [create_dir t ~columns] returns the owner capability of the new
     directory. [placement] is the name the partition map hashes to
-    pick the directory's shard (sharded clients only; default
-    shard 0). *)
+    pick the directory's shard (default shard 0). *)
 val create_dir : ?placement:string -> t -> columns:string list -> Capability.t
 
 val delete_dir : t -> Capability.t -> unit
@@ -54,7 +51,7 @@ val lookup :
   t -> ?column:int -> Capability.t -> string -> (Capability.t * int) option
 
 (** The paper's "Lookup set": several names resolved in one request
-    (one request per shard touched, for a sharded client). *)
+    per shard touched. *)
 val lookup_set :
   t ->
   ?column:int ->

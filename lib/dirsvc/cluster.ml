@@ -11,14 +11,13 @@ type server_slot = {
   mutable nfs_server : Nfs_server.t option;
 }
 
-(* One replica group. A single-group deployment ([Params.shards] = 1,
-   and always for the RPC / NFS flavours) is exactly the pre-sharding
-   cluster: one network split off the engine RNG, legacy node ids and
-   names, service port "dirsvc". A sharded deployment gives each group
-   its own network whose RNG seed comes from [Rng.derive ~base:seed],
-   so shard k's event stream is independent of how many other shards
-   exist, plus a backbone network for cross-shard termination
-   queries. *)
+(* One replica group. One shard ([Params.shards] = 1, and always for
+   the RPC / NFS flavours) is the paper's deployment: its network splits
+   off the engine RNG and it keeps the unprefixed names and service port
+   "dirsvc". With M > 1 shards each group's network is seeded from
+   [Rng.derive ~base:seed], so shard k's event stream is independent of
+   how many other shards exist, and a backbone network carries
+   cross-shard termination queries. *)
 type shard = {
   index : int;
   snet : Simnet.Network.t;
@@ -30,10 +29,8 @@ type shard = {
 type t = {
   flavor : flavor;
   engine : Sim.Engine.t;
-  net : Simnet.Network.t; (* shard 0's network *)
   metrics : Sim.Metrics.t;
   params : Params.t;
-  port : string; (* shard 0's service port *)
   shard_arr : shard array;
   backbone : Simnet.Network.t option;
   mutable next_client : int;
@@ -43,13 +40,13 @@ let flavor t = t.flavor
 
 let engine t = t.engine
 
-let net t = t.net
+let net t = t.shard_arr.(0).snet
 
 let metrics t = t.metrics
 
 let params t = t.params
 
-let port t = t.port
+let port t = t.shard_arr.(0).sport
 
 let shards t = Array.length t.shard_arr
 
@@ -207,75 +204,39 @@ let create ?(seed = 7L) ?(params = Params.default) ?servers ?(rails = 1) flavor
   in
   let engine = Sim.Engine.create ~seed () in
   let metrics = Sim.Metrics.create () in
+  let multi = shards_n > 1 in
+  (* With M > 1, shard k's network runs on derived seed k and index M
+     seeds the backbone; one shard splits its network off the engine
+     RNG. *)
+  let seeds =
+    if multi then
+      Some (Array.of_list (Sim.Rng.derive ~base:seed (shards_n + 1)))
+    else None
+  in
+  let network k =
+    Simnet.Network.create engine ~metrics ~latency:params.Params.net_latency
+      ~rails
+      ?seed:(Option.map (fun seeds -> seeds.(k)) seeds)
+      ()
+  in
+  let shard_arr =
+    Array.init shards_n (fun k ->
+        let snet = network k in
+        let slots =
+          make_slots ~engine ~metrics ~params ~flavor ~shard_index:k ~multi n
+        in
+        let suffix = if multi then string_of_int k else "" in
+        {
+          index = k;
+          snet;
+          sport = "dirsvc" ^ suffix;
+          sgname = "dirgrp" ^ suffix;
+          slots;
+        })
+  in
+  let backbone = if multi then Some (network shards_n) else None in
   let t =
-    if shards_n = 1 then begin
-      (* Single group: the exact legacy construction order (network
-         split off the engine RNG, legacy names), byte-identical per
-         seed to the pre-sharding cluster. *)
-      let net =
-        Simnet.Network.create engine ~metrics ~latency:params.Params.net_latency
-          ~rails ()
-      in
-      let slots =
-        make_slots ~engine ~metrics ~params ~flavor ~shard_index:0 ~multi:false
-          n
-      in
-      let shard0 =
-        { index = 0; snet = net; sport = "dirsvc"; sgname = "dirgrp"; slots }
-      in
-      {
-        flavor;
-        engine;
-        net;
-        metrics;
-        params;
-        port = shard0.sport;
-        shard_arr = [| shard0 |];
-        backbone = None;
-        next_client = 0;
-      }
-    end
-    else begin
-      (* Shard k's network runs on derived seed k — independent of the
-         engine RNG and of every other shard; index [shards_n] seeds
-         the backbone. *)
-      let seeds =
-        Array.of_list (Sim.Rng.derive ~base:seed (shards_n + 1))
-      in
-      let shard_arr =
-        Array.init shards_n (fun k ->
-            let snet =
-              Simnet.Network.create engine ~metrics
-                ~latency:params.Params.net_latency ~rails ~seed:seeds.(k) ()
-            in
-            let slots =
-              make_slots ~engine ~metrics ~params ~flavor ~shard_index:k
-                ~multi:true n
-            in
-            {
-              index = k;
-              snet;
-              sport = Printf.sprintf "dirsvc%d" k;
-              sgname = Printf.sprintf "dirgrp%d" k;
-              slots;
-            })
-      in
-      let backbone =
-        Simnet.Network.create engine ~metrics
-          ~latency:params.Params.net_latency ~rails ~seed:seeds.(shards_n) ()
-      in
-      {
-        flavor;
-        engine;
-        net = shard_arr.(0).snet;
-        metrics;
-        params;
-        port = shard_arr.(0).sport;
-        shard_arr;
-        backbone = Some backbone;
-        next_client = 0;
-      }
-    end
+    { flavor; engine; metrics; params; shard_arr; backbone; next_client = 0 }
   in
   Array.iter
     (fun sh -> Array.iter (boot_bullet t ~snet:sh.snet) sh.slots)
@@ -295,26 +256,21 @@ let client ?rpc_config t =
       ~id:(100 + t.next_client)
       ~name:(Printf.sprintf "client%d" t.next_client)
   in
-  if Array.length t.shard_arr = 1 then begin
-    let nic = Simnet.Network.attach t.net node in
-    let transport = Rpc.Transport.create ?config:rpc_config t.net nic in
-    Client.make transport ~port:t.port
-  end
-  else begin
-    (* One NIC + transport per shard: each shard's locate / port cache
-       lives in its own transport, so a view change on one shard never
-       touches another shard's cache. *)
-    let transports =
-      Array.map
-        (fun sh ->
-          let nic = Simnet.Network.attach sh.snet node in
-          Rpc.Transport.create ?config:rpc_config sh.snet nic)
-        t.shard_arr
-    in
-    let ports = Array.map (fun sh -> sh.sport) t.shard_arr in
-    Client.make_sharded
-      (Shard_router.make ~metrics:t.metrics transports ~ports)
-  end
+  (* One NIC + transport per shard: each shard's locate / port cache
+     lives in its own transport, so a view change on one shard never
+     touches another shard's cache. *)
+  let transports =
+    Array.map
+      (fun sh ->
+        let nic = Simnet.Network.attach sh.snet node in
+        Rpc.Transport.create ?config:rpc_config sh.snet nic)
+      t.shard_arr
+  in
+  let ports = Array.map (fun sh -> sh.sport) t.shard_arr in
+  (* Only a multi-shard client can move rows across shards, so only it
+     gets the [dirsvc.cross_shard] counter. *)
+  let metrics = if Array.length t.shard_arr > 1 then Some t.metrics else None in
+  Client.make (Shard_router.make ?metrics transports ~ports)
 
 let crash_server_in t ~shard server_id =
   Sim.Node.crash t.shard_arr.(shard).slots.(server_id - 1).dir_node

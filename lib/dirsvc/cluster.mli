@@ -16,14 +16,14 @@ type flavor =
 
 type t
 
-(** [create flavor] builds and boots a deployment. [servers] is the
-    replica count for the group flavours (default 3; the paper notes the
-    protocol is unchanged for more). With [params.shards] > 1 (group
-    flavours only) the deployment becomes a "cluster of clusters":
-    [shards] independent replica groups of [servers] machines each, a
-    hash partition of the namespace across them, and a backbone
-    network for cross-shard transaction termination. [shards = 1] is
-    byte-identical per seed to the pre-sharding cluster. *)
+(** [create flavor] builds and boots a deployment: [params.shards]
+    independent replica groups (always one for the RPC / NFS
+    flavours) of [servers] machines each, with the namespace hash
+    partitioned across them. One shard is the paper's deployment (§3).
+    [servers] is the replica count for the group flavours (default 3;
+    the paper notes the protocol is unchanged for more). With more than
+    one shard the deployment is a "cluster of clusters", and a backbone
+    network carries cross-shard transaction termination. *)
 val create :
   ?seed:int64 -> ?params:Params.t -> ?servers:int -> ?rails:int -> flavor -> t
   [@@ocaml.doc
@@ -56,9 +56,8 @@ val shard_port : t -> int -> string
 (** Run the simulation clock forward (absolute target time). *)
 val run_until : t -> float -> unit
 
-(** [client t] creates a fresh client machine with its own transport.
-    In a sharded deployment the client gets one transport per shard
-    (separate locate caches) behind a {!Shard_router}. [rpc_config]
+(** [client t] creates a fresh client machine with one transport per
+    shard (separate locate caches) behind a {!Shard_router}. [rpc_config]
     tunes the client kernel's transaction behaviour (e.g. tests that
     must not fail over to another server pass
     [{ default_config with max_attempts = 1 }]). *)
@@ -85,8 +84,6 @@ val restart_server_in : t -> shard:int -> int -> unit
 (** Introspection. *)
 
 val group_server : t -> int -> Group_server.t
-
-val group_server_in : t -> shard:int -> int -> Group_server.t
 
 val store_snapshots : t -> (int * Directory.store) list
 

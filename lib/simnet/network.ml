@@ -78,6 +78,11 @@ let create engine ?metrics ?(latency = default_latency) ?(rails = 1) ?seed () =
 let engine t = t.engine
 
 let attach t node =
+  (match Hashtbl.find_opt t.nics (Sim.Node.id node) with
+  | Some held when held.node != node ->
+      invalid_arg
+        (Printf.sprintf "Network.attach: node id %d taken" (Sim.Node.id node))
+  | Some _ | None -> ());
   let nic =
     {
       node;

@@ -48,8 +48,9 @@ val create :
 val engine : t -> Sim.Engine.t
 
 (** [attach net node] connects [node] with a fresh NIC for its current
-    incarnation, replacing any previous NIC. The NIC is torn down if the
-    node crashes. *)
+    incarnation, replacing any previous NIC of the same node (a restart
+    re-attaches). The NIC is torn down if the node crashes. Raises
+    [Invalid_argument] if a different node holds [node]'s id. *)
 val attach : t -> Sim.Node.t -> nic
 
 val nic_node : nic -> Sim.Node.t

@@ -279,10 +279,23 @@ let test_multicast_same_seed_arrivals () =
   Alcotest.(check (list (pair int (float 0.0)))) "same seed, same arrivals"
     first (run_once ())
 
+(* A node id names one machine: re-attaching the same node (as a
+   restart does) is fine, but a second node claiming a held id must not
+   silently take over the first one's NIC. *)
+let test_attach_rejects_taken_id () =
+  let w = make_world () in
+  let n7 = node ~id:7 "n7" in
+  ignore (Simnet.Network.attach w.net n7);
+  ignore (Simnet.Network.attach w.net n7);
+  Alcotest.check_raises "second node with id 7"
+    (Invalid_argument "Network.attach: node id 7 taken") (fun () ->
+      ignore (Simnet.Network.attach w.net (node ~id:7 "impostor")))
+
 let suite =
   let tc = Alcotest.test_case in
   [
     tc "unicast latency" `Quick test_unicast_latency;
+    tc "attach rejects a taken node id" `Quick test_attach_rejects_taken_id;
     tc "self send is local" `Quick test_self_send_is_local;
     tc "multicast reaches all" `Quick test_multicast_reaches_all;
     tc "multicast respects partitions" `Quick test_multicast_respects_partitions;

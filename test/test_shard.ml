@@ -96,7 +96,9 @@ let test_shards2_golden_digest () =
     let a2 = dir 0 in
     for i = 1 to 4 do
       op (fun () ->
-          Dirsvc.Client.append_row client a ~name:(Printf.sprintf "r%d" i) [ a ])
+          Dirsvc.Client.append_row client a
+            ~name:(Printf.sprintf "r%d" i)
+            [ a ])
     done;
     op (fun () -> Dirsvc.Client.move_row client ~src:a ~dst:b ~name:"r1");
     op (fun () -> Dirsvc.Client.move_row client ~src:a ~dst:b ~name:"r2");
@@ -125,7 +127,8 @@ let test_shards2_golden_digest () =
     !found;
   Alcotest.(check int) "three cross-shard moves per client" 6
     (Sim.Metrics.count (C.metrics cluster) "dirsvc.cross_shard");
-  Alcotest.(check int) "trace ring did not overflow" 0 (Sim.Trace.dropped trace);
+  Alcotest.(check int) "trace ring did not overflow" 0
+    (Sim.Trace.dropped trace);
   Alcotest.(check string) "pinned trace digest"
     "08ae0eb24604e0eac98e0309ddddbf92"
     (Digest.to_hex (Digest.string (Sim.Trace.to_jsonl trace)));
@@ -134,6 +137,20 @@ let test_shards2_golden_digest () =
     (Sim.Engine.events_executed engine);
   Alcotest.(check (float 1e-9)) "pinned finish clock" 2553.8762692758037
     (List.fold_left max 0.0 !finished)
+
+(* Client machines are numbered 101, 102, ... and shard k's servers sit
+   at 500k + id, so in a 2-shard deployment the 401st client would take
+   shard 1's server 1 (id 501). Attaching it must fail loudly instead of
+   replacing that server's NIC. *)
+let test_client_id_collision_rejected () =
+  let params = { Dirsvc.Params.default with shards = 2 } in
+  let cluster = C.create ~seed:24L ~params C.Group_disk in
+  for _ = 1 to 400 do
+    ignore (C.client cluster)
+  done;
+  Alcotest.check_raises "client 401 collides with shard 1's server 1"
+    (Invalid_argument "Network.attach: node id 501 taken") (fun () ->
+      ignore (C.client cluster))
 
 (* Per-shard network seeds come from [Sim.Rng.derive], whose streams are
    prefix-stable in the derived count: adding a shard must not perturb
@@ -182,11 +199,7 @@ let test_wrong_shard_bounce () =
   let params = { Dirsvc.Params.default with shards = 2 } in
   let cluster = boot ~seed:21L ~params C.Group_disk in
   on_client cluster (fun client ->
-      let router =
-        match Dirsvc.Client.router client with
-        | Some r -> r
-        | None -> Alcotest.fail "sharded client has no router"
-      in
+      let router = Dirsvc.Client.router client in
       let placement = placement_for ~shards:2 1 in
       let cap =
         with_unavailable_retry (fun () ->
@@ -327,6 +340,8 @@ let suite =
       test_shards1_golden_digest;
     tc "shards=2 with cross-shard moves matches pinned golden digest" `Quick
       test_shards2_golden_digest;
+    tc "client node id colliding with a server is rejected" `Quick
+      test_client_id_collision_rejected;
     tc "adding a shard leaves other shards' streams intact" `Quick
       test_shard_seed_independence;
     tc "wrong-shard bounce and re-route" `Quick test_wrong_shard_bounce;

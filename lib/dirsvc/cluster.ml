@@ -44,8 +44,6 @@ let net t = t.shard_arr.(0).snet
 
 let metrics t = t.metrics
 
-let params t = t.params
-
 let port t = t.shard_arr.(0).sport
 
 let shards t = Array.length t.shard_arr

@@ -22,9 +22,6 @@ type divergence = {
 
 val check_convergence : (int * Directory.store) list -> (unit, divergence) result
 
-(** [replay log] folds a server's applied log from the empty store;
-    operations that the log recorded were, by construction, successful. *)
-val replay : Group_server.applied list -> Directory.store
 
 val check_replay :
   log:Group_server.applied list -> Directory.store -> (unit, string) result

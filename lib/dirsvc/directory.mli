@@ -21,14 +21,10 @@
 type dir_id = int
 
 (** Rights bits in directory capabilities: bit [i < 4] grants reading
-    column [i]; {!right_modify} grants updates; {!right_delete} grants
-    deletion of the directory itself. *)
+    column [i]; bit 4 grants updates; bit 5 grants deletion of the
+    directory itself. *)
 
 val column_right : int -> Capability.rights
-
-val right_modify : Capability.rights
-
-val right_delete : Capability.rights
 
 val all_columns_mask : Capability.rights
 

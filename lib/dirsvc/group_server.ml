@@ -86,8 +86,6 @@ type t = {
   xresults : (int * int, Wire.reply) Hashtbl.t;
 }
 
-let server_id t = t.server_id
-
 let serving t = t.serving
 
 let set_serving_watch t w = t.serving_watch <- w
@@ -95,14 +93,7 @@ let set_serving_watch t w = t.serving_watch <- w
 let notify_serving t =
   match t.serving_watch with None -> () | Some f -> f ()
 
-let useq t = t.useq
-
 let store_snapshot t = t.store
-
-let view t =
-  match t.group with
-  | Some g when t.serving -> Group.Member.members g
-  | Some _ | None -> []
 
 let n_servers t = List.length t.peers
 

@@ -68,7 +68,6 @@ val start :
   unit ->
   t
 
-val server_id : t -> int
 
 val serving : t -> bool
 
@@ -77,17 +76,10 @@ val serving : t -> bool
     the engine at the transition instead of polling [serving]. *)
 val set_serving_watch : t -> (unit -> unit) option -> unit
 
-(** Highest update sequence number applied. *)
-val useq : t -> int
 
 (** Snapshot of the in-core store (tests and the consistency checker). *)
 val store_snapshot : t -> Directory.store
 
-(** Current group view as seen by this server (empty while recovering). *)
-val view : t -> int list
-
-(** Admin RPC port of the server on node [node_id] (recovery traffic). *)
-val admin_port : int -> string
 
 (** One successfully applied update, attributed to the initiating
     server and its request uid — the unit of the exactly-once check. *)

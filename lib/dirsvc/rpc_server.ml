@@ -25,13 +25,7 @@ type t = {
   mutable next_secret : int;
 }
 
-let server_id t = t.server_id
-
 let store_snapshot t = t.store
-
-let useq t = t.useq
-
-let lazy_backlog t = List.length t.lazy_queue
 
 let fresh_secret t =
   t.next_secret <- t.next_secret + 1;

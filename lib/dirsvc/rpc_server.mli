@@ -36,12 +36,6 @@ val start :
   unit ->
   t
 
-val server_id : t -> int
 
 val store_snapshot : t -> Directory.store
 
-(** Updates applied by this replica (for convergence checks). *)
-val useq : t -> int
-
-(** Disk copies still pending in the lazy-replication queue. *)
-val lazy_backlog : t -> int

@@ -4,12 +4,6 @@ type service_error =
   | Unavailable of string
   | Wrong_shard
 
-let service_error_to_string = function
-  | Op_error e -> Directory.error_to_string e
-  | No_majority -> "no majority of directory servers"
-  | Unavailable reason -> "temporarily unavailable: " ^ reason
-  | Wrong_shard -> "capability belongs to another shard"
-
 exception Dir_error of service_error
 
 (* Cross-shard move: a two-group coordinator commit. The client (the

@@ -16,8 +16,6 @@ type service_error =
           shard router re-routes on this bounce (NOTHERE analogue at
           the shard level) *)
 
-val service_error_to_string : service_error -> string
-
 exception Dir_error of service_error
 
 (** Cross-shard move: a two-group coordinator commit (client-driven).
@@ -101,15 +99,9 @@ val encode_store : Directory.store -> string
 
 val decode_store : string -> Directory.store
 
-(** Byte codec for single operations (the commit block's group-commit
-    log). Decoding raises {!Storage.Codec.Corrupt} on garbage. *)
-
-val encode_op : Storage.Codec.Writer.t -> Directory.op -> unit
-
-val decode_op : Storage.Codec.Reader.t -> Directory.op
-
 (** Codec for the commit-block log: [(useq, dir_id, op)] records,
-    oldest first. [encode_log_records []] is [""]. *)
+    oldest first. [encode_log_records []] is [""]. Decoding raises
+    {!Storage.Codec.Corrupt} on garbage. *)
 
 val encode_log_records : (int * int * Directory.op) list -> string
 

@@ -189,10 +189,6 @@ let emit t ~name attrs =
    the call site even when tracing is off, so the hot path checks first. *)
 let tracing t = Sim.Engine.tracing t.engine
 
-let gname t = t.gname
-
-let me t = t.me
-
 let members t = t.members
 
 let info t =

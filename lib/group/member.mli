@@ -38,9 +38,7 @@ val join_group :
   gname:string ->
   t
 
-val gname : t -> string
 
-val me : t -> int
 
 val send : t -> ?size:int -> Simnet.Payload.t -> unit
 

@@ -9,8 +9,6 @@ let epoch_compare a b =
   | 0 -> compare a.view b.view
   | c -> c
 
-let pp_epoch fmt e = Format.fprintf fmt "%d/%d" e.instance e.view
-
 type status = Idle | Normal | Broken | Resetting | Left
 
 let status_to_string = function
@@ -24,9 +22,6 @@ type delivery =
   | Msg of { seqno : int; origin : int; payload : Simnet.Payload.t }
   | Joined of { seqno : int; member : int }
   | Departed of { seqno : int; member : int }
-
-let delivery_seqno = function
-  | Msg { seqno; _ } | Joined { seqno; _ } | Departed { seqno; _ } -> seqno
 
 type dissemination = Pb | Bb
 

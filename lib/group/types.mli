@@ -17,8 +17,6 @@ type epoch = { instance : int; view : int }
 
 val epoch_compare : epoch -> epoch -> int
 
-val pp_epoch : Format.formatter -> epoch -> unit
-
 type status =
   | Idle  (** created but not yet admitted to a group *)
   | Normal  (** operating *)
@@ -36,8 +34,6 @@ type delivery =
   | Msg of { seqno : int; origin : int; payload : Simnet.Payload.t }
   | Joined of { seqno : int; member : int }
   | Departed of { seqno : int; member : int }
-
-val delivery_seqno : delivery -> int
 
 (** How a message reaches the members (Kaashoek & Tanenbaum's two
     methods). {b PB}: the sender passes the message point-to-point to

@@ -10,16 +10,12 @@ type 'a t = {
 let create ?(name = "mailbox") () =
   { name; queue = Queue.create (); wait_queue = Queue.create () }
 
-let name t = t.name
-
 (* Hand [v] to the oldest still-viable waiter; [wake] refuses dead
    wakers, so each is discarded the first time it surfaces. *)
 let rec send t v =
   match Queue.take_opt t.wait_queue with
   | None -> Queue.push v t.queue
   | Some waker -> if not (Proc.Waker.wake waker v) then send t v
-
-let try_recv t = Queue.take_opt t.queue
 
 let recv ?timeout t =
   match Queue.take_opt t.queue with
@@ -44,5 +40,3 @@ let waiters t =
   Queue.clear t.wait_queue;
   Queue.transfer live t.wait_queue;
   Queue.length t.wait_queue
-
-let clear t = Queue.clear t.queue

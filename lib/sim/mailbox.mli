@@ -11,7 +11,6 @@ type 'a t
 
 val create : ?name:string -> unit -> 'a t
 
-val name : 'a t -> string
 
 (** [send mbox v] enqueues [v] or hands it directly to the oldest viable
     waiter. Callable from fibers and from plain engine events alike. *)
@@ -21,8 +20,6 @@ val send : 'a t -> 'a -> unit
     {!Proc.Timeout} if [timeout] (milliseconds) elapses first. *)
 val recv : ?timeout:float -> 'a t -> 'a
 
-val try_recv : 'a t -> 'a option
-
 (** Queued (undelivered) message count. *)
 val length : 'a t -> int
 
@@ -31,5 +28,3 @@ val length : 'a t -> int
     the NOTHERE heuristic from the paper. *)
 val waiters : 'a t -> int
 
-(** [clear mbox] drops all queued messages (crash cleanup). *)
-val clear : 'a t -> unit

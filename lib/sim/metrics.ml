@@ -55,8 +55,6 @@ module Histogram = struct
 
   let count t = t.n
 
-  let sum t = t.sum
-
   let mean t = if t.n = 0 then nan else t.sum /. float_of_int t.n
 
   let min_value t = if t.n = 0 then nan else t.min
@@ -107,15 +105,6 @@ module Histogram = struct
       walk 0 0
     end
 
-  let merge_into ~into t =
-    if into.bounds <> t.bounds then
-      invalid_arg "Histogram.merge_into: different bucket boundaries";
-    Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) t.counts;
-    into.n <- into.n + t.n;
-    into.sum <- into.sum +. t.sum;
-    if t.min < into.min then into.min <- t.min;
-    if t.max > into.max then into.max <- t.max
-
   let summary_to_json t =
     if t.n = 0 then Json.Obj [ ("n", Json.Int 0) ]
     else
@@ -131,19 +120,6 @@ module Histogram = struct
           ("p99", Json.Float (quantile t 0.99));
         ]
 
-  let to_json t =
-    let bucket (lower, upper, count) =
-      Json.Obj
-        [
-          ("le", if upper = infinity then Json.Null else Json.Float upper);
-          ("from", Json.Float lower);
-          ("count", Json.Int count);
-        ]
-    in
-    match summary_to_json t with
-    | Json.Obj fields ->
-        Json.Obj (fields @ [ ("buckets", Json.List (List.map bucket (buckets t))) ])
-    | other -> other
 end
 
 (* ---- Labelled keys ------------------------------------------------ *)
@@ -160,11 +136,6 @@ let labelled key ~labels =
       Printf.sprintf "%s{%s}" key
         (String.concat ","
            (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) labels))
-
-let base_key key =
-  match String.index_opt key '{' with
-  | Some i -> String.sub key 0 i
-  | None -> key
 
 let labels_of_key key =
   match String.index_opt key '{' with
@@ -184,18 +155,14 @@ let labels_of_key key =
 
 (* ---- The registry ------------------------------------------------- *)
 
-type series = { mutable items : float list (* newest first *); mutable n : int }
-
 type t = {
   counters : (string, int ref) Hashtbl.t;
-  series : (string, series) Hashtbl.t;
   histograms : (string, Histogram.t) Hashtbl.t;
 }
 
 let create () =
   {
     counters = Hashtbl.create 32;
-    series = Hashtbl.create 32;
     histograms = Hashtbl.create 32;
   }
 
@@ -219,8 +186,6 @@ let counter t key = counter_ref t key
 
 let incr_handle ?(by = 1) h = h := !h + by
 
-let incr_labelled ?by t key ~labels = incr ?by t (labelled key ~labels)
-
 let count t key = match Hashtbl.find_opt t.counters key with Some r -> !r | None -> 0
 
 let counters t =
@@ -241,27 +206,6 @@ let delta ~before ~after =
       let d = lookup key after - lookup key before in
       if d = 0 then None else Some (key, d))
     keys
-
-let series_ref t key =
-  match Hashtbl.find_opt t.series key with
-  | Some r -> r
-  | None ->
-      let r = { items = []; n = 0 } in
-      Hashtbl.add t.series key r;
-      r
-
-let observe t key v =
-  let r = series_ref t key in
-  r.items <- v :: r.items;
-  r.n <- r.n + 1
-
-let samples t key =
-  match Hashtbl.find_opt t.series key with
-  | Some r -> List.rev r.items
-  | None -> []
-
-let sample_count t key =
-  match Hashtbl.find_opt t.series key with Some r -> r.n | None -> 0
 
 let histogram_ref ?bounds t key =
   match Hashtbl.find_opt t.histograms key with
@@ -285,15 +229,4 @@ let histograms t =
 
 let reset t =
   Hashtbl.reset t.counters;
-  Hashtbl.reset t.series;
   Hashtbl.reset t.histograms
-
-let to_json t =
-  Json.Obj
-    [
-      ( "counters",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)) );
-      ( "histograms",
-        Json.Obj
-          (List.map (fun (k, h) -> (k, Histogram.to_json h)) (histograms t)) );
-    ]

@@ -1,4 +1,4 @@
-(** Named counters, sample collections and latency histograms.
+(** Named counters and latency histograms.
 
     The benches rebuild the paper's §3.1 cost analysis (messages and disk
     operations per directory update) from these counters, and the figure
@@ -13,19 +13,16 @@
 module Histogram : sig
   type t
 
-  (** Default bucket upper bounds, in milliseconds: 0.05 .. 10000,
-      roughly log-spaced, plus an implicit overflow bucket. *)
-  val default_bounds : float array
-
   (** [create ?bounds ()] — [bounds] must be strictly increasing upper
-      bounds. Raises [Invalid_argument] otherwise. *)
+      bounds, in milliseconds (default 0.05 .. 10000, roughly
+      log-spaced, plus an implicit overflow bucket). Raises
+      [Invalid_argument] otherwise. *)
   val create : ?bounds:float array -> unit -> t
 
   val observe : t -> float -> unit
 
   val count : t -> int
 
-  val sum : t -> float
 
   (** [nan] when empty. *)
   val mean : t -> float
@@ -42,25 +39,11 @@ module Histogram : sig
       the overflow bucket's upper bound is [infinity]. *)
   val buckets : t -> (float * float * int) list
 
-  (** Accumulate [t] into [into]. Both must share bucket boundaries. *)
-  val merge_into : into:t -> t -> unit
-
   (** [{n; mean; min; max; p50; p90; p95; p99}] — just [{n = 0}] when
       empty. *)
   val summary_to_json : t -> Json.t
-
-  (** [summary_to_json] plus the per-bucket counts. *)
-  val to_json : t -> Json.t
 end
 
-(** [labelled key ~labels] canonicalises labels into the key:
-    [labelled "op_ms" ~labels:[("server", "2"); ("op", "write")]] is
-    ["op_ms{op=write,server=2}"] (labels sorted by name). An empty label
-    list returns the key unchanged. *)
-val labelled : string -> labels:(string * string) list -> string
-
-(** Key without its label suffix. *)
-val base_key : string -> string
 
 (** Parsed label pairs of a canonical key ([[]] when unlabelled). *)
 val labels_of_key : string -> (string * string) list
@@ -72,9 +55,6 @@ val create : unit -> t
 (** Counters. *)
 
 val incr : ?by:int -> t -> string -> unit
-
-(** [incr] on [labelled key ~labels]. *)
-val incr_labelled : ?by:int -> t -> string -> labels:(string * string) list -> unit
 
 (** Pre-resolved counter handle: the key is interned once and hot paths
     bump the underlying cell directly — no key building, hashing or
@@ -99,15 +79,6 @@ val counters : t -> (string * int) list
     are omitted. *)
 val delta : before:(string * int) list -> after:(string * int) list -> (string * int) list
 
-(** Samples (exact values, retained; prefer histograms on hot paths). *)
-
-val observe : t -> string -> float -> unit
-
-val samples : t -> string -> float list
-
-(** O(1). *)
-val sample_count : t -> string -> int
-
 (** Histograms. *)
 
 (** [observe_hist t key v] records [v] into the histogram named
@@ -130,6 +101,3 @@ val histogram_handle :
 val histograms : t -> (string * Histogram.t) list
 
 val reset : t -> unit
-
-(** Counters and histogram summaries as one JSON object. *)
-val to_json : t -> Json.t

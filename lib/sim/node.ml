@@ -10,8 +10,6 @@ let create ~id ~name = { id; name; alive = true; incarnation = 0; crash_hooks = 
 
 let id t = t.id
 
-let name t = t.name
-
 let is_alive t = t.alive
 
 let incarnation t = t.incarnation
@@ -31,5 +29,3 @@ let restart t =
   end
 
 let on_crash t hook = t.crash_hooks <- hook :: t.crash_hooks
-
-let pp fmt t = Format.fprintf fmt "%s#%d" t.name t.incarnation

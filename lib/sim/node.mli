@@ -14,7 +14,6 @@ val create : id:int -> name:string -> t
 
 val id : t -> int
 
-val name : t -> string
 
 val is_alive : t -> bool
 
@@ -34,4 +33,3 @@ val restart : t -> unit
     to tear down volatile per-incarnation state. *)
 val on_crash : t -> (unit -> unit) -> unit
 
-val pp : Format.formatter -> t -> unit

@@ -61,14 +61,10 @@ val sleep : float -> unit
     ready events run first. *)
 val yield : unit -> unit
 
-(** Virtual time, engine, and identity of the calling fiber. *)
+(** Virtual time and engine of the calling fiber. *)
 val now : unit -> float
 
 val engine : unit -> Engine.t
-
-val node : unit -> Node.t
-
-val self_name : unit -> string
 
 (** [with_timeout d f] runs [f ()] in a child fiber and raises {!Timeout}
     at the caller if no result arrived after [d] milliseconds. On timeout

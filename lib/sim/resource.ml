@@ -9,14 +9,6 @@ let create ?(name = "resource") ~capacity () =
   if capacity <= 0 then invalid_arg "Resource.create: capacity must be positive";
   { name; capacity; held = 0; wait_queue = [] }
 
-let name t = t.name
-
-let in_use t = t.held
-
-let queued t =
-  t.wait_queue <- List.filter Proc.Waker.is_viable t.wait_queue;
-  List.length t.wait_queue
-
 let acquire t =
   if t.held < t.capacity then t.held <- t.held + 1
   else Proc.suspend (fun waker -> t.wait_queue <- t.wait_queue @ [ waker ])

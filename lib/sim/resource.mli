@@ -14,17 +14,8 @@ type t
 
 val create : ?name:string -> capacity:int -> unit -> t
 
-val name : t -> string
 
-(** Fibers currently holding a unit. *)
-val in_use : t -> int
 
-(** Fibers queued waiting for a unit. *)
-val queued : t -> int
-
-val acquire : t -> unit
-
-val release : t -> unit
 
 (** [use t d] = acquire; sleep [d]; release. *)
 val use : t -> float -> unit

@@ -11,8 +11,6 @@ let next_raw t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t = next_raw t
-
 let split t = create (next_raw t)
 
 (* Multi-seed sweeps: seed i is exactly the seed [split] would hand the
@@ -46,18 +44,3 @@ let exponential t ~mean =
   -.mean *. log u
 
 let bool t ~p = float t < p
-
-let pick t = function
-  | [] -> invalid_arg "Rng.pick: empty list"
-  | list -> List.nth list (int t (List.length list))
-
-let shuffle t list =
-  let arr = Array.of_list list in
-  let n = Array.length arr in
-  for i = n - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done;
-  Array.to_list arr

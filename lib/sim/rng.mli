@@ -20,7 +20,6 @@ val split : t -> t
     Raises [Invalid_argument] on a negative count. *)
 val derive : base:int64 -> int -> int64 list
 
-val int64 : t -> int64
 
 (** [int rng bound] draws uniformly from [0, bound). Raises
     [Invalid_argument] if [bound <= 0]. *)
@@ -38,9 +37,3 @@ val exponential : t -> mean:float -> float
 (** [bool rng ~p] is [true] with probability [p]. *)
 val bool : t -> p:float -> bool
 
-(** [pick rng list] selects a uniformly random element.
-    Raises [Invalid_argument] on the empty list. *)
-val pick : t -> 'a list -> 'a
-
-(** [shuffle rng list] returns a uniformly random permutation. *)
-val shuffle : t -> 'a list -> 'a list

@@ -25,8 +25,6 @@ let create ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
   { buffer = Array.make capacity None; next_seq = 0; sink = None }
 
-let capacity t = Array.length t.buffer
-
 let length t = min t.next_seq (Array.length t.buffer)
 
 let emitted t = t.next_seq
@@ -136,18 +134,9 @@ let event_to_text e =
   Printf.sprintf "%10.3f  [%s@%d] %s%s" e.time e.subsystem e.node e.name
     (if attrs = "" then "" else " " ^ attrs)
 
-let pp_event fmt e = Format.pp_print_string fmt (event_to_text e)
-
 let to_jsonl t =
   let buf = Buffer.create 4096 in
   iter t (fun e ->
       Buffer.add_string buf (event_to_jsonl e);
-      Buffer.add_char buf '\n');
-  Buffer.contents buf
-
-let to_text t =
-  let buf = Buffer.create 4096 in
-  iter t (fun e ->
-      Buffer.add_string buf (event_to_text e);
       Buffer.add_char buf '\n');
   Buffer.contents buf

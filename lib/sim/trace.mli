@@ -32,7 +32,6 @@ type t
     events (default 65536). *)
 val create : ?capacity:int -> unit -> t
 
-val capacity : t -> int
 
 (** Events currently retained. *)
 val length : t -> int
@@ -61,12 +60,9 @@ val clear : t -> unit
 (** Retained events, oldest first. *)
 val events : t -> event list
 
-val iter : t -> (event -> unit) -> unit
 
-val event_to_json : event -> Json.t
-
-(** Inverse of {!event_to_json}. Raises [Invalid_argument] on a value
-    that is not an encoded event. *)
+(** Decodes one parsed {!event_to_jsonl} line. Raises
+    [Invalid_argument] on a value that is not an encoded event. *)
 val event_of_json : Json.t -> event
 
 (** One compact JSON object, no trailing newline. *)
@@ -74,10 +70,5 @@ val event_to_jsonl : event -> string
 
 val event_to_text : event -> string
 
-val pp_event : Format.formatter -> event -> unit
-
 (** All retained events as newline-terminated JSONL. *)
 val to_jsonl : t -> string
-
-(** All retained events as an annotated text timeline. *)
-val to_text : t -> string

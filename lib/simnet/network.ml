@@ -122,8 +122,6 @@ let rebind_socket nic ~proto =
   Hashtbl.replace nic.sockets proto mbox;
   mbox
 
-let rails t = Array.length t.rail_states
-
 let set_partitions t cells =
   Array.iter (fun rail -> rail.cells <- Some cells) t.rail_states
 

@@ -27,8 +27,6 @@ type fault_action = Deliver | Drop | Delay of float
     (loopback, no wire). *)
 type latency = { base : float; jitter : float; local : float }
 
-val default_latency : latency
-
 val create :
   Sim.Engine.t ->
   ?metrics:Sim.Metrics.t ->
@@ -38,7 +36,8 @@ val create :
   unit ->
   t
   [@@ocaml.doc
-    "[create engine ()] makes an empty network. [metrics] receives\n\
+    "[create engine ()] makes an empty network. [latency] defaults to\n\
+    \ base 0.7, jitter 0.2, local 0.05. [metrics] receives\n\
     \ per-protocol packet counters (used to rebuild the paper's message\n\
     \ cost analysis). [seed] fixes the network's own RNG stream instead\n\
     \ of splitting it off the engine's — a sharded cluster gives each\n\
@@ -72,8 +71,6 @@ val socket : nic -> proto:string -> Packet.t Sim.Mailbox.t
     replies — opt out so a 50-client broadcast storm does not schedule
     50 pointless deliveries per packet. *)
 val set_multicast_interest : nic -> proto:string -> bool -> unit
-
-val multicast_interested : nic -> proto:string -> bool
 
 (** [rebind_socket nic ~proto] installs and returns a {e fresh} queue for
     [proto], orphaning the previous one. Use when a protocol endpoint is
@@ -117,8 +114,6 @@ val fail_rail : t -> rail:int -> unit
 
 val restore_rail : t -> rail:int -> unit
 
-(** Number of physical rails (1 unless created with [rails]). *)
-val rails : t -> int
 
 val heal : t -> unit
 

@@ -10,4 +10,3 @@ type t = {
   size : int;  (** bytes, for statistics only *)
 }
 
-val pp : Format.formatter -> t -> unit

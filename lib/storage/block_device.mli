@@ -23,15 +23,12 @@ val create :
   unit ->
   t
 
-val name : t -> string
 
 val blocks : t -> int
 
 val block_size : t -> int
 
-val read_ms : t -> float
 
-val write_ms : t -> float
 
 (** [read t i] blocks the calling fiber for the disk latency and returns
     a copy of block [i]. *)
@@ -49,5 +46,3 @@ val peek : t -> int -> bytes
 (** Number of completed write operations (for the disk-ops-per-update
     analysis). *)
 val writes_completed : t -> int
-
-val reads_completed : t -> int

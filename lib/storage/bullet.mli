@@ -30,8 +30,6 @@ type t
 
 val right_read : Capability.rights
 
-val right_destroy : Capability.rights
-
 val port_of : int -> string
 
 (** [start net transport ~device ~first_block ~region_blocks ()] boots a
@@ -54,9 +52,6 @@ val start :
 
 (** Live (non-retired) file count. *)
 val live_files : t -> int
-
-(** Tombstones not yet flushed to disk. *)
-val pending_tombstones : t -> int
 
 (** Client operations (run from any fiber with an RPC transport). All
     raise {!Error} on service-reported failure. *)

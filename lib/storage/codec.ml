@@ -86,6 +86,4 @@ module Reader = struct
   let list t f =
     let n = u32 t in
     List.init n (fun _ -> f t)
-
-  let remaining t = Bytes.length t.data - t.pos
 end

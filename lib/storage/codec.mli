@@ -43,6 +43,4 @@ module Reader : sig
 
   val list : t -> (t -> 'a) -> 'a list
 
-  (** Bytes not yet consumed. *)
-  val remaining : t -> int
 end

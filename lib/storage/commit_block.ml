@@ -7,14 +7,6 @@ type t = {
 
 let magic = 0xC0B10C
 
-let make ~servers =
-  {
-    config_vector = Array.make servers true;
-    seqno = 0;
-    recovering = false;
-    log = "";
-  }
-
 let encode t =
   let w = Codec.Writer.create () in
   Codec.Writer.u32 w magic;
@@ -42,13 +34,3 @@ let decode data =
 let read device = decode (Block_device.read device 0)
 
 let write device t = Block_device.write device 0 (encode t)
-
-let pp fmt t =
-  let vector =
-    String.concat ""
-      (Array.to_list (Array.map (fun b -> if b then "1" else "0") t.config_vector))
-  in
-  Format.fprintf fmt "[%s] seq=%d%s%s" vector t.seqno
-    (if t.recovering then " recovering" else "")
-    (if t.log = "" then ""
-     else Printf.sprintf " log=%dB" (String.length t.log))

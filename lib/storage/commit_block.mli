@@ -20,8 +20,6 @@ type t = {
           [""] when every directory block is up to date *)
 }
 
-val make : servers:int -> t
-(** All-up vector, seqno 0, not recovering, empty log. *)
 
 val encode : t -> bytes
 
@@ -35,4 +33,3 @@ val read : Block_device.t -> t option
 
 val write : Block_device.t -> t -> unit
 
-val pp : Format.formatter -> t -> unit

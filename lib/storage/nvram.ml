@@ -11,8 +11,6 @@ let create ?engine ~capacity ~size_of ~write_ms () =
   if capacity <= 0 then invalid_arg "Nvram.create: capacity must be positive";
   { engine; capacity; size_of; write_ms; records = []; used = 0 }
 
-let capacity t = t.capacity
-
 let used_bytes t = t.used
 
 let length t = List.length t.records

@@ -23,7 +23,6 @@ val create :
   unit ->
   'a t
 
-val capacity : 'a t -> int
 
 val used_bytes : 'a t -> int
 

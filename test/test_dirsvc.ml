@@ -58,6 +58,14 @@ let crud_cycle client =
   (match Dirsvc.Client.lookup_set client [ (cap, "beta"); (cap, "ghost") ] with
   | [ Some _; None ] -> ()
   | _ -> Alcotest.fail "lookup_set mismatch");
+  (* replace_set rebinds an existing row in one update. *)
+  let other = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
+  Dirsvc.Client.replace_set client cap [ ("beta", [ other ]) ];
+  (match Dirsvc.Client.lookup client cap "beta" with
+  | Some (c, _) ->
+      Alcotest.(check int) "replace_set rebinds beta" other.Capability.obj
+        c.Capability.obj
+  | None -> Alcotest.fail "beta missing after replace_set");
   Dirsvc.Client.delete_dir client cap;
   match Dirsvc.Client.list_dir client cap with
   | _ -> Alcotest.fail "deleted dir should not list"

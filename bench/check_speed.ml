@@ -49,8 +49,7 @@ let scenarios =
    held across job execution, a coordinator that stops helping) which
    the determinism tests cannot see: output stays identical either way.
    Wall-clock speedup needs real cores, so the gate skips itself on
-   machines with fewer than 4 (and under DIRSIM_SKIP_PARALLEL_GATE=1
-   for constrained or noisy CI runners), printing why. *)
+   machines with fewer than 4, printing why. *)
 
 let grid_thunks () =
   List.concat_map
@@ -59,44 +58,39 @@ let grid_thunks () =
     scenarios
 
 let parallel_gate () =
-  match Sys.getenv_opt "DIRSIM_SKIP_PARALLEL_GATE" with
-  | Some _ ->
-      Printf.printf
-        "parallel gate: skipped (DIRSIM_SKIP_PARALLEL_GATE is set)\n"
-  | None ->
-      let cores = Domain.recommended_domain_count () in
-      if cores < 4 then
-        Printf.printf
-          "parallel gate: skipped (%d core(s) available, need >= 4 for a \
-           meaningful speedup measurement)\n"
-          cores
-      else begin
-        let time jobs =
-          Sim.Pool.with_pool ~jobs (fun pool ->
-              Gc.full_major ();
-              let t0 = Unix.gettimeofday () in
-              ignore (Sim.Pool.map pool (fun f -> f ()) (grid_thunks ()));
-              Unix.gettimeofday () -. t0)
-        in
-        let t1 = time 1 in
-        let t4 = time 4 in
-        let ratio = t4 /. t1 in
-        let ok = ratio <= 0.6 in
-        Printf.printf
-          "parallel gate: jobs=1 %.3f s  jobs=4 %.3f s  ratio %.2f  (ceiling \
-           0.60) %s\n"
-          t1 t4 ratio
-          (if ok then "ok" else "FAIL");
-        if not ok then begin
-          Printf.eprintf
-            "check_speed: jobs=4 grid took %.2fx the jobs=1 wall clock (must \
-             be <= 0.60x on %d cores).\n\
-             The domain pool is not delivering parallelism — check for \
-             serialization in Sim.Pool or shared mutable state.\n"
-            ratio cores;
-          exit 1
-        end
-      end
+  let cores = Domain.recommended_domain_count () in
+  if cores < 4 then
+    Printf.printf
+      "parallel gate: skipped (%d core(s) available, need >= 4 for a \
+       meaningful speedup measurement)\n"
+      cores
+  else begin
+    let time jobs =
+      Sim.Pool.with_pool ~jobs (fun pool ->
+          Gc.full_major ();
+          let t0 = Unix.gettimeofday () in
+          ignore (Sim.Pool.map pool (fun f -> f ()) (grid_thunks ()));
+          Unix.gettimeofday () -. t0)
+    in
+    let t1 = time 1 in
+    let t4 = time 4 in
+    let ratio = t4 /. t1 in
+    let ok = ratio <= 0.6 in
+    Printf.printf
+      "parallel gate: jobs=1 %.3f s  jobs=4 %.3f s  ratio %.2f  (ceiling \
+       0.60) %s\n"
+      t1 t4 ratio
+      (if ok then "ok" else "FAIL");
+    if not ok then begin
+      Printf.eprintf
+        "check_speed: jobs=4 grid took %.2fx the jobs=1 wall clock (must \
+         be <= 0.60x on %d cores).\n\
+         The domain pool is not delivering parallelism — check for \
+         serialization in Sim.Pool or shared mutable state.\n"
+        ratio cores;
+      exit 1
+    end
+  end
 
 (* Group-commit gate: the scaled update scenario with sequencer batching
    on (batch_max = 8) must allocate at most 480k minor words per
@@ -104,81 +98,70 @@ let parallel_gate () =
    the >= 30% reduction batching is for (the current build measures
    ~155k) — and must average strictly under one durable commit per op
    (~0.5 today; 1.0 would mean group commit stopped grouping). The
-   seed-fixed run makes both numbers exact for a given build.
-   DIRSIM_SKIP_ALLOC_GATE=1 skips it, for instrumented builds whose
-   allocation profile is legitimately different. *)
+   seed-fixed run makes both numbers exact for a given build. *)
 
 let alloc_gate () =
-  match Sys.getenv_opt "DIRSIM_SKIP_ALLOC_GATE" with
-  | Some _ ->
-      Printf.printf "alloc gate: skipped (DIRSIM_SKIP_ALLOC_GATE is set)\n"
-  | None ->
-      let params = { Dirsvc.Params.default with batch_max = 8 } in
-      Gc.full_major ();
-      let minor0 = Gc.minor_words () in
-      let cluster = C.create ~seed:5001L ~params ~servers:5 C.Group_disk in
-      let point =
-        Workload.Throughput.append_deletes cluster ~clients:50 ~window:2_000.0
-      in
-      let minor = Gc.minor_words () -. minor0 in
-      let ops = point.Workload.Throughput.total_ops in
-      let commits = Sim.Metrics.count (C.metrics cluster) "dirsvc.commit" in
-      let mw_op = minor /. float_of_int ops in
-      let c_op = float_of_int commits /. float_of_int ops in
-      let ok = mw_op <= 480_000.0 && c_op < 1.0 in
-      Printf.printf
-        "alloc gate: batched scaled run  %d ops  %.0f minor words/op (ceiling \
-         480000)  %.3f commits/op (ceiling < 1.0) %s\n"
-        ops mw_op c_op
-        (if ok then "ok" else "FAIL");
-      if not ok then begin
-        Printf.eprintf
-          "check_speed: batched group commit is not paying for itself — \
-           either the per-op allocation regressed past 480k minor words or \
-           durable commits are back to one per update.\n";
-        exit 1
-      end
+  let params = { Dirsvc.Params.default with batch_max = 8 } in
+  Gc.full_major ();
+  let minor0 = Gc.minor_words () in
+  let cluster = C.create ~seed:5001L ~params ~servers:5 C.Group_disk in
+  let point =
+    Workload.Throughput.append_deletes cluster ~clients:50 ~window:2_000.0
+  in
+  let minor = Gc.minor_words () -. minor0 in
+  let ops = point.Workload.Throughput.total_ops in
+  let commits = Sim.Metrics.count (C.metrics cluster) "dirsvc.commit" in
+  let mw_op = minor /. float_of_int ops in
+  let c_op = float_of_int commits /. float_of_int ops in
+  let ok = mw_op <= 480_000.0 && c_op < 1.0 in
+  Printf.printf
+    "alloc gate: batched scaled run  %d ops  %.0f minor words/op (ceiling \
+     480000)  %.3f commits/op (ceiling < 1.0) %s\n"
+    ops mw_op c_op
+    (if ok then "ok" else "FAIL");
+  if not ok then begin
+    Printf.eprintf
+      "check_speed: batched group commit is not paying for itself — \
+       either the per-op allocation regressed past 480k minor words or \
+       durable commits are back to one per update.\n";
+    exit 1
+  end
 
 (* Shard-scaling gate: splitting the namespace over four sequencer
    groups must actually buy ordering parallelism — the shard workload on
    a 4-shard deployment (3 servers each) must complete at least 2x the
    client iterations of the single 12-server group in the same window.
-   Each run is seed-fixed, so the ratio is exact for a given build.
-   DIRSIM_SKIP_SHARD_GATE=1 skips it, recorded honestly in the output. *)
+   Each run is seed-fixed, so the ratio is exact for a given build. *)
 
 let shard_gate () =
-  match Sys.getenv_opt "DIRSIM_SKIP_SHARD_GATE" with
-  | Some _ ->
-      Printf.printf "shard gate: skipped (DIRSIM_SKIP_SHARD_GATE is set)\n"
-  | None ->
-      let run shards =
-        let params = { Dirsvc.Params.default with shards } in
-        let cluster =
-          C.create ~seed:4242L ~params ~servers:(12 / shards) C.Group_disk
-        in
-        let point =
-          Workload.Throughput.shard_updates cluster ~clients:16 ~window:1_000.0
-        in
-        point.Workload.Throughput.total_ops
-      in
-      let ops1 = run 1 in
-      let ops4 = run 4 in
-      let ratio = float_of_int ops4 /. float_of_int ops1 in
-      let ok = ratio >= 2.0 in
-      Printf.printf
-        "shard gate: shards=1 %d ops  shards=4 %d ops  speedup %.2fx  (floor \
-         2.00x) %s\n"
-        ops1 ops4 ratio
-        (if ok then "ok" else "FAIL");
-      if not ok then begin
-        Printf.eprintf
-          "check_speed: four shards delivered %.2fx the single-group update \
-           throughput (must be >= 2x).\n\
-           The partition is not spreading ordering load — check the shard \
-           router's placement hashing and the per-shard sequencers.\n"
-          ratio;
-        exit 1
-      end
+  let run shards =
+    let params = { Dirsvc.Params.default with shards } in
+    let cluster =
+      C.create ~seed:4242L ~params ~servers:(12 / shards) C.Group_disk
+    in
+    let point =
+      Workload.Throughput.shard_updates cluster ~clients:16 ~window:1_000.0
+    in
+    point.Workload.Throughput.total_ops
+  in
+  let ops1 = run 1 in
+  let ops4 = run 4 in
+  let ratio = float_of_int ops4 /. float_of_int ops1 in
+  let ok = ratio >= 2.0 in
+  Printf.printf
+    "shard gate: shards=1 %d ops  shards=4 %d ops  speedup %.2fx  (floor \
+     2.00x) %s\n"
+    ops1 ops4 ratio
+    (if ok then "ok" else "FAIL");
+  if not ok then begin
+    Printf.eprintf
+      "check_speed: four shards delivered %.2fx the single-group update \
+       throughput (must be >= 2x).\n\
+       The partition is not spreading ordering load — check the shard \
+       router's placement hashing and the per-shard sequencers.\n"
+      ratio;
+    exit 1
+  end
 
 let () =
   let failed = ref [] in

@@ -11,13 +11,7 @@ type server_slot = {
   mutable nfs_server : Nfs_server.t option;
 }
 
-(* One replica group. One shard ([Params.shards] = 1, and always for
-   the RPC / NFS flavours) is the paper's deployment: its network splits
-   off the engine RNG and it keeps the unprefixed names and service port
-   "dirsvc". With M > 1 shards each group's network is seeded from
-   [Rng.derive ~base:seed], so shard k's event stream is independent of
-   how many other shards exist, and a backbone network carries
-   cross-shard termination queries. *)
+(* One replica group, on its own network. *)
 type shard = {
   index : int;
   snet : Simnet.Network.t;
@@ -202,10 +196,13 @@ let create ?(seed = 7L) ?(params = Params.default) ?servers ?(rails = 1) flavor
   in
   let engine = Sim.Engine.create ~seed () in
   let metrics = Sim.Metrics.create () in
+  (* Only three things depend on the shard count M. One shard (the
+     paper's deployment) splits its network off the engine RNG; with
+     M > 1 shard k's network runs on derived seed k, so its event
+     stream does not depend on how many other shards exist, and index M
+     seeds the backbone. One shard keeps the unprefixed names. Only
+     M > 1 has a backbone, for cross-shard termination queries. *)
   let multi = shards_n > 1 in
-  (* With M > 1, shard k's network runs on derived seed k and index M
-     seeds the backbone; one shard splits its network off the engine
-     RNG. *)
   let seeds =
     if multi then
       Some (Array.of_list (Sim.Rng.derive ~base:seed (shards_n + 1)))

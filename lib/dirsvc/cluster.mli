@@ -39,7 +39,6 @@ val net : t -> Simnet.Network.t
 
 val metrics : t -> Sim.Metrics.t
 
-
 (** Replica count of one group (shard). *)
 val n_servers : t -> int
 

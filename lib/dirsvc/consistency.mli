@@ -22,7 +22,6 @@ type divergence = {
 
 val check_convergence : (int * Directory.store) list -> (unit, divergence) result
 
-
 val check_replay :
   log:Group_server.applied list -> Directory.store -> (unit, string) result
 

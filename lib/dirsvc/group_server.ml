@@ -602,7 +602,8 @@ let handle_xshard t cmd =
 
 (* The shard-level NOTHERE: a capability minted by another shard names
    that shard's port, so a port mismatch bounces the client to the
-   owner. Single-group servers ([shard] = None) never check. *)
+   owner. A one-shard deployment's servers ([shard] = None) never
+   check. *)
 let request_cap = function
   | Wire.Write_op op -> (
       match op with

@@ -49,8 +49,8 @@ type t
     an abandonment resolver. [xnet] is the inter-shard backbone; the
     server answers transaction-status queries on it (port
     ["xs@"^port]) so a peer shard can terminate a transaction whose
-    coordinator crashed. Both absent (the default) is the exact
-    single-group server, byte-identical per seed. *)
+    coordinator crashed. Both absent (the default) is the server of a
+    one-shard deployment, the paper's. *)
 val start :
   params:Params.t ->
   ?metrics:Sim.Metrics.t ->
@@ -68,7 +68,6 @@ val start :
   unit ->
   t
 
-
 val serving : t -> bool
 
 (** Register (or clear) a callback run synchronously each time the
@@ -76,10 +75,8 @@ val serving : t -> bool
     the engine at the transition instead of polling [serving]. *)
 val set_serving_watch : t -> (unit -> unit) option -> unit
 
-
 (** Snapshot of the in-core store (tests and the consistency checker). *)
 val store_snapshot : t -> Directory.store
-
 
 (** One successfully applied update, attributed to the initiating
     server and its request uid — the unit of the exactly-once check. *)

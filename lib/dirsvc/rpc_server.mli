@@ -36,6 +36,4 @@ val start :
   unit ->
   t
 
-
 val store_snapshot : t -> Directory.store
-

@@ -11,7 +11,6 @@ type t = {
   transports : Rpc.Transport.t array; (* one per shard: shards live on
                                          separate networks *)
   ports : string array;
-  timeout : float;
   cross_shard : Sim.Metrics.handle option;
   mutable next_txid : int;
 }
@@ -26,14 +25,13 @@ let shard_of_name ~shards name =
     name;
   !h mod shards
 
-let make ?(timeout = 5_000.0) ?metrics transports ~ports =
+let make ?metrics transports ~ports =
   if Array.length ports = 0 then invalid_arg "Shard_router.make: no shards";
   if Array.length transports <> Array.length ports then
     invalid_arg "Shard_router.make: one transport per shard";
   {
     transports;
     ports;
-    timeout;
     cross_shard =
       (match metrics with
       | None -> None
@@ -79,9 +77,12 @@ let cap_of_request = function
   | Wire.Lookup_req { items = []; _ } -> None
   | Wire.Xshard_req _ -> None
 
+(* Per-transaction timeout of a directory request, in ms. *)
+let timeout = 5_000.0
+
 let raw_call t ~shard request =
-  Rpc.Transport.trans t.transports.(shard) ~port:t.ports.(shard)
-    ~timeout:t.timeout (Wire.Dir_request request)
+  Rpc.Transport.trans t.transports.(shard) ~port:t.ports.(shard) ~timeout
+    (Wire.Dir_request request)
 
 let call t ~shard request =
   match raw_call t ~shard request with

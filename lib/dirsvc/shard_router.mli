@@ -1,8 +1,8 @@
-(** Client-side shard routing for the multi-group ("cluster of
-    clusters") deployment.
+(** Client-side shard routing; every {!Client} is one.
 
-    The namespace is hash partitioned over M independent replica
-    groups: a directory lives on the shard its placement name hashes
+    The namespace is hash partitioned over M >= 1 independent replica
+    groups (one group is the paper's deployment; more make a "cluster
+    of clusters"): a directory lives on the shard its placement name hashes
     to, and its capabilities carry that shard's service port, so
     routing an existing capability is a port lookup. Each shard keeps
     its own locate / port-cache state inside the shared transport
@@ -17,8 +17,7 @@ type t
     network and [ports.(k)] is its service port. [metrics] receives
     the [dirsvc.cross_shard] counter. *)
 val make :
-  ?timeout:float -> ?metrics:Sim.Metrics.t -> Rpc.Transport.t array ->
-  ports:string array -> t
+  ?metrics:Sim.Metrics.t -> Rpc.Transport.t array -> ports:string array -> t
 
 val shards : t -> int
 

@@ -38,8 +38,6 @@ val join_group :
   gname:string ->
   t
 
-
-
 val send : t -> ?size:int -> Simnet.Payload.t -> unit
 
 val receive : ?timeout:float -> t -> Types.delivery

@@ -11,7 +11,6 @@ type 'a t
 
 val create : ?name:string -> unit -> 'a t
 
-
 (** [send mbox v] enqueues [v] or hands it directly to the oldest viable
     waiter. Callable from fibers and from plain engine events alike. *)
 val send : 'a t -> 'a -> unit
@@ -27,4 +26,3 @@ val length : 'a t -> int
     to decide whether a server is "listening" (idle thread available) —
     the NOTHERE heuristic from the paper. *)
 val waiters : 'a t -> int
-

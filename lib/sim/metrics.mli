@@ -23,7 +23,6 @@ module Histogram : sig
 
   val count : t -> int
 
-
   (** [nan] when empty. *)
   val mean : t -> float
 
@@ -44,8 +43,10 @@ module Histogram : sig
   val summary_to_json : t -> Json.t
 end
 
-
-(** Parsed label pairs of a canonical key ([[]] when unlabelled). *)
+(** Labelled metrics live under a canonical key: [key] with [labels]
+    [[("server", "2"); ("op", "write")]] is ["key{op=write,server=2}"]
+    (labels sorted by name); no labels leave [key] unchanged.
+    [labels_of_key] parses the pairs back ([[]] when unlabelled). *)
 val labels_of_key : string -> (string * string) list
 
 type t
@@ -81,8 +82,8 @@ val delta : before:(string * int) list -> after:(string * int) list -> (string *
 
 (** Histograms. *)
 
-(** [observe_hist t key v] records [v] into the histogram named
-    [labelled key ~labels], creating it (with [bounds]) on first use.
+(** [observe_hist t key v] records [v] into the histogram under the
+    canonical key of [key] and [labels], creating it (with [bounds]) on first use.
     [bounds] only takes effect at creation. *)
 val observe_hist :
   ?bounds:float array -> ?labels:(string * string) list -> t -> string -> float -> unit
@@ -90,7 +91,7 @@ val observe_hist :
 val histogram : t -> string -> Histogram.t option
 
 (** [histogram_handle t key] resolves (creating if needed) the histogram
-    named [labelled key ~labels] once; record into it directly with
+    under the canonical key of [key] and [labels] once; record into it directly with
     {!Histogram.observe}. The histogram-side analogue of {!counter} —
     the canonical labelled key is built at resolution time, not per
     observation. Orphaned by [reset], like counter handles. *)

@@ -14,7 +14,6 @@ val create : id:int -> name:string -> t
 
 val id : t -> int
 
-
 val is_alive : t -> bool
 
 (** Monotonically increasing incarnation number; bumped on every restart. *)
@@ -32,4 +31,3 @@ val restart : t -> unit
 (** Hook invoked on [crash]; used by subsystems (e.g. network interfaces)
     to tear down volatile per-incarnation state. *)
 val on_crash : t -> (unit -> unit) -> unit
-

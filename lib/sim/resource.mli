@@ -14,11 +14,10 @@ type t
 
 val create : ?name:string -> capacity:int -> unit -> t
 
-
-
-
-(** [use t d] = acquire; sleep [d]; release. *)
+(** [use t d] takes a unit (queueing FIFO while none is free), holds
+    it for [d] ms of virtual time, then releases it. *)
 val use : t -> float -> unit
 
-(** [with_held t f] = acquire; run [f]; release (also on exception). *)
+(** [with_held t f] runs [f] holding a unit, releasing it also on
+    exception. *)
 val with_held : t -> (unit -> 'a) -> 'a

@@ -20,7 +20,6 @@ val split : t -> t
     Raises [Invalid_argument] on a negative count. *)
 val derive : base:int64 -> int -> int64 list
 
-
 (** [int rng bound] draws uniformly from [0, bound). Raises
     [Invalid_argument] if [bound <= 0]. *)
 val int : t -> int -> int
@@ -36,4 +35,3 @@ val exponential : t -> mean:float -> float
 
 (** [bool rng ~p] is [true] with probability [p]. *)
 val bool : t -> p:float -> bool
-

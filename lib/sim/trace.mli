@@ -32,7 +32,6 @@ type t
     events (default 65536). *)
 val create : ?capacity:int -> unit -> t
 
-
 (** Events currently retained. *)
 val length : t -> int
 
@@ -59,7 +58,6 @@ val clear : t -> unit
 
 (** Retained events, oldest first. *)
 val events : t -> event list
-
 
 (** Decodes one parsed {!event_to_jsonl} line. Raises
     [Invalid_argument] on a value that is not an encoded event. *)

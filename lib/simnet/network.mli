@@ -114,7 +114,6 @@ val fail_rail : t -> rail:int -> unit
 
 val restore_rail : t -> rail:int -> unit
 
-
 val heal : t -> unit
 
 val reachable : t -> int -> int -> bool

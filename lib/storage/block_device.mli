@@ -23,12 +23,9 @@ val create :
   unit ->
   t
 
-
 val blocks : t -> int
 
 val block_size : t -> int
-
-
 
 (** [read t i] blocks the calling fiber for the disk latency and returns
     a copy of block [i]. *)

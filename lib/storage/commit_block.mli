@@ -20,7 +20,6 @@ type t = {
           [""] when every directory block is up to date *)
 }
 
-
 val encode : t -> bytes
 
 (** [decode data] is [None] for a blank (never-written) block and raises
@@ -32,4 +31,3 @@ val decode : bytes -> t option
 val read : Block_device.t -> t option
 
 val write : Block_device.t -> t -> unit
-

@@ -23,7 +23,6 @@ val create :
   unit ->
   'a t
 
-
 val used_bytes : 'a t -> int
 
 val length : 'a t -> int

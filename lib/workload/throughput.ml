@@ -134,8 +134,8 @@ let append_deletes ?(warmup = 500.0) ?(window = 4_000.0) cluster ~clients =
    iteration instead moves the row to the second directory and deletes
    it there, which is a two-group commit whenever the two placements
    hash to different shards. [cross_period = 0] (the default) never
-   moves. On a single-group cluster the placements are ignored and this
-   degenerates to append_deletes with an occasional move. *)
+   moves. On a one-shard cluster every placement maps to shard 0 and
+   this degenerates to append_deletes with an occasional move. *)
 let shard_updates ?(warmup = 500.0) ?(window = 4_000.0) ?(cross_period = 0)
     cluster ~clients =
   let dirs : (int, Capability.t * Capability.t) Hashtbl.t = Hashtbl.create 16 in

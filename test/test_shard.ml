@@ -1,5 +1,6 @@
-(* Sharded ("cluster of clusters") deployment tests: the shards = 1
-   byte-identity contract, per-shard seed independence, the Wrong_shard
+(* Sharded ("cluster of clusters") deployment tests: golden digests for
+   one shard and for two shards with cross-shard moves, client/server
+   node-id collisions, per-shard seed independence, the Wrong_shard
    bounce, port-cache staleness across a shard's view change, and
    cross-shard move termination after a coordinator crash. *)
 

@@ -523,7 +523,7 @@ let raw_send_latency r =
   let nodes = Hashtbl.create 3 in
   List.iter
     (fun id ->
-      let node = Sim.Node.create ~id ~name:(Printf.sprintf "m%d" id) in
+      let node = Sim.Node.create ~id in
       Hashtbl.replace nodes id node;
       let nic = Simnet.Network.attach net node in
       Sim.Proc.boot engine node (fun () ->
@@ -712,7 +712,7 @@ let ablation_method () =
     let nodes = Hashtbl.create 3 in
     List.iter
       (fun id ->
-        let node = Sim.Node.create ~id ~name:(Printf.sprintf "m%d" id) in
+        let node = Sim.Node.create ~id in
         Hashtbl.replace nodes id node;
         let nic = Simnet.Network.attach net node in
         Sim.Proc.boot engine node (fun () ->

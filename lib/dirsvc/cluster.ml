@@ -72,7 +72,7 @@ let boot_bullet t ~snet slot =
   | Some node ->
       let nic = Simnet.Network.attach snet node in
       let transport = Rpc.Transport.create snet nic in
-      let cpu = Sim.Resource.create ~name:"bullet-cpu" ~capacity:1 () in
+      let cpu = Sim.Resource.create ~capacity:1 () in
       ignore
         (Storage.Bullet.start snet transport ~device:slot.device
            ~first_block:(t.params.Params.admin_slots + 1)
@@ -162,15 +162,11 @@ let make_slots ~engine ~metrics ~params ~flavor ~shard_index ~multi n =
         | Nfs_single -> None
         | Group_disk | Group_nvram | Rpc_pair ->
             Some
-              (Sim.Node.create
-                 ~id:(bullet_node_id ~shard_index server_id)
-                 ~name:(prefixed "bullet"))
+              (Sim.Node.create ~id:(bullet_node_id ~shard_index server_id))
       in
       {
         dir_node =
-          Sim.Node.create
-            ~id:(dir_node_id ~shard_index server_id)
-            ~name:(prefixed "dir");
+          Sim.Node.create ~id:(dir_node_id ~shard_index server_id);
         bullet_node;
         device;
         intent_device;
@@ -246,11 +242,7 @@ let create ?(seed = 7L) ?(params = Params.default) ?servers ?(rails = 1) flavor
 
 let client ?rpc_config t =
   t.next_client <- t.next_client + 1;
-  let node =
-    Sim.Node.create
-      ~id:(100 + t.next_client)
-      ~name:(Printf.sprintf "client%d" t.next_client)
-  in
+  let node = Sim.Node.create ~id:(100 + t.next_client) in
   (* One NIC + transport per shard: each shard's locate / port cache
      lives in its own transport, so a view change on one shard never
      touches another shard's cache. *)

@@ -1235,7 +1235,7 @@ let start ~params ?metrics ?nvram ?shard ?xnet net ~server_id ~peers ~node
       bullet_port;
       gname;
       port;
-      cpu = Sim.Resource.create ~name:"dir-cpu" ~capacity:1 ();
+      cpu = Sim.Resource.create ~capacity:1 ();
       nvram;
       store = Directory.empty;
       useq = 0;

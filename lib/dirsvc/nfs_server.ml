@@ -133,7 +133,7 @@ let start ~params ?metrics net ~node ~device ~port () =
       node;
       device;
       port;
-      cpu = Sim.Resource.create ~name:"nfs-cpu" ~capacity:1 ();
+      cpu = Sim.Resource.create ~capacity:1 ();
       store = Directory.empty;
       useq = 0;
       next_secret = 0;

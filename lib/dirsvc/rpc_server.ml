@@ -341,7 +341,7 @@ let start ~params ?metrics net ~server_id ~peer_node ~node ~device
       table;
       bullet_port;
       port;
-      cpu = Sim.Resource.create ~name:"dir-cpu" ~capacity:1 ();
+      cpu = Sim.Resource.create ~capacity:1 ();
       store = Directory.empty;
       useq = 0;
       file_caps = Directory.Store.empty;

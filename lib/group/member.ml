@@ -1020,7 +1020,7 @@ let make ?metrics ?(config = Types.default_config) net nic ~gname =
       store = Hashtbl.create 256;
       contig = 0;
       highest_seen = 0;
-      deliver_q = Sim.Mailbox.create ~name:(gname ^ ".deliver") ();
+      deliver_q = Sim.Mailbox.create ();
       changed = Sim.Condvar.create ();
       pending_sends = Hashtbl.create 8;
       seq_next = 1;

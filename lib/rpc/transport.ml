@@ -124,7 +124,7 @@ let serve t ~port ?(threads = 2) handler =
         service.active <- true;
         service
     | None ->
-        let service = { active = true; queue = Sim.Mailbox.create ~name:port () } in
+        let service = { active = true; queue = Sim.Mailbox.create () } in
         Hashtbl.add t.services port service;
         service
   in
@@ -157,13 +157,13 @@ let drop_cached t ~port server =
   | Some l -> l := List.filter (fun s -> s <> server) !l
   | None -> ()
 
-(* Broadcast a locate and collect HEREIS answers for [locate_window] ms.
-   The cache keeps responders in arrival order; the client always tries
-   the first one — the paper's "first server that replied" heuristic. *)
 let emit t ~name attrs =
   Sim.Engine.emit (Simnet.Network.engine t.net) ~subsystem:"rpc"
     ~node:t.node_id ~name attrs
 
+(* Broadcast a locate and collect HEREIS answers for [locate_window] ms.
+   The cache keeps responders in arrival order; the client always tries
+   the first one — the paper's "first server that replied" heuristic. *)
 let locate t ~port =
   let xid = fresh_xid t in
   let responders = ref [] in
@@ -190,16 +190,20 @@ let ensure_located t ~port =
   match cached_servers t ~port with
   | _ :: _ as servers -> servers
   | [] ->
-      let rec try_rounds round =
+      (* A busy server answers a Locate with silence, so an empty round
+         means every server is saturated (or none exists): re-asking at
+         a fixed period only adds load. The pause doubles per empty
+         round; it is deterministic (no jitter), so no RNG draw moves. *)
+      let rec try_rounds round pause =
         if round > t.config.locate_rounds then
           raise (Rpc_failure (Printf.sprintf "service %s: not located" port));
         match locate t ~port with
         | _ :: _ as servers -> servers
         | [] ->
-            Sim.Proc.sleep t.config.locate_backoff;
-            try_rounds (round + 1)
+            Sim.Proc.sleep pause;
+            try_rounds (round + 1) (2.0 *. pause)
       in
-      try_rounds 1
+      try_rounds 1 t.config.locate_backoff
 
 let trans t ~port ?timeout ?(size = 128) body =
   let timeout =

@@ -15,8 +15,16 @@ type config = {
       (** how long a locate broadcast collects HEREIS answers (ms) *)
   trans_timeout : float;  (** default per-attempt reply timeout (ms) *)
   max_attempts : int;  (** request attempts before giving up *)
-  locate_rounds : int;  (** locate broadcasts before giving up *)
-  locate_backoff : float;  (** pause between locate rounds (ms) *)
+  locate_rounds : int;
+      (** locate broadcasts before giving up. Round [k] that comes back
+          empty is followed by a pause of [locate_backoff *. 2^(k-1)], so
+          a service nobody answers for is given up on after
+          [locate_rounds *. locate_window +. locate_backoff *.
+          (2^locate_rounds - 1)] ms — 83 ms with {!default_config} *)
+  locate_backoff : float;
+      (** pause after the first empty locate round (ms); each further
+          empty round doubles it (5, 10, 20, 40 ms by default). A round
+          that finds a server never pauses. *)
 }
 
 val default_config : config

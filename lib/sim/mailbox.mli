@@ -9,7 +9,7 @@
 
 type 'a t
 
-val create : ?name:string -> unit -> 'a t
+val create : unit -> 'a t
 
 (** [send mbox v] enqueues [v] or hands it directly to the oldest viable
     waiter. Callable from fibers and from plain engine events alike. *)

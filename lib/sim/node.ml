@@ -1,12 +1,11 @@
 type t = {
   id : int;
-  name : string;
   mutable alive : bool;
   mutable incarnation : int;
   mutable crash_hooks : (unit -> unit) list;
 }
 
-let create ~id ~name = { id; name; alive = true; incarnation = 0; crash_hooks = [] }
+let create ~id = { id; alive = true; incarnation = 0; crash_hooks = [] }
 
 let id t = t.id
 

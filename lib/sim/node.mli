@@ -10,7 +10,7 @@
 
 type t
 
-val create : id:int -> name:string -> t
+val create : id:int -> t
 
 val id : t -> int
 

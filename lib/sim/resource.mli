@@ -12,7 +12,7 @@
 
 type t
 
-val create : ?name:string -> capacity:int -> unit -> t
+val create : capacity:int -> unit -> t
 
 (** [use t d] takes a unit (queueing FIFO while none is free), holds
     it for [d] ms of virtual time, then releases it. *)

@@ -107,7 +107,7 @@ let socket nic ~proto =
   match Hashtbl.find_opt nic.sockets proto with
   | Some mbox -> mbox
   | None ->
-      let mbox = Sim.Mailbox.create ~name:proto () in
+      let mbox = Sim.Mailbox.create () in
       Hashtbl.add nic.sockets proto mbox;
       mbox
 
@@ -118,7 +118,7 @@ let set_multicast_interest nic ~proto interested =
 let multicast_interested nic ~proto = not (Hashtbl.mem nic.mcast_opt_out proto)
 
 let rebind_socket nic ~proto =
-  let mbox = Sim.Mailbox.create ~name:proto () in
+  let mbox = Sim.Mailbox.create () in
   Hashtbl.replace nic.sockets proto mbox;
   mbox
 

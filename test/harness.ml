@@ -12,7 +12,7 @@ let make_world ?(seed = 1L) ?latency () =
   let net = Simnet.Network.create engine ~metrics ?latency () in
   { engine; net; metrics }
 
-let node ~id name = Sim.Node.create ~id ~name
+let node ~id = Sim.Node.create ~id
 
 (* Run [f] as a fiber on [node] and return its result after the
    simulation quiesces. Fails the test if the fiber never finished. *)

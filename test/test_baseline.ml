@@ -103,7 +103,7 @@ let test_commit_block_bad_magic () =
 let test_bullet_out_of_inodes () =
   let engine = Sim.Engine.create ~seed:64L () in
   let net = Simnet.Network.create engine () in
-  let server = Sim.Node.create ~id:1 ~name:"bullet" in
+  let server = Sim.Node.create ~id:1 in
   let snic = Simnet.Network.attach net server in
   let st = Rpc.Transport.create net snic in
   let device =
@@ -114,7 +114,7 @@ let test_bullet_out_of_inodes () =
   ignore
     (Storage.Bullet.start net st ~device ~first_block:0 ~region_blocks:16
        ~inode_blocks:2 ());
-  let client = Sim.Node.create ~id:2 ~name:"client" in
+  let client = Sim.Node.create ~id:2 in
   let cnic = Simnet.Network.attach net client in
   let ct = Rpc.Transport.create net cnic in
   let outcome = ref "" in
@@ -172,7 +172,7 @@ let test_exactly_once_checker () =
 let test_group_info_fields () =
   let engine = Sim.Engine.create ~seed:65L () in
   let net = Simnet.Network.create engine () in
-  let n1 = Sim.Node.create ~id:1 ~name:"n1" in
+  let n1 = Sim.Node.create ~id:1 in
   let nic = Simnet.Network.attach net n1 in
   let info = ref None in
   Sim.Proc.boot engine n1 (fun () ->

@@ -15,7 +15,7 @@ let start_trio ?(config = Group.Types.default_config) w =
   let members = Hashtbl.create 3 in
   let nodes = Hashtbl.create 3 in
   let start id =
-    let n = node ~id (Printf.sprintf "srv%d" id) in
+    let n = node ~id in
     Hashtbl.replace nodes id n;
     let nic = Simnet.Network.attach w.net n in
     Sim.Proc.boot w.engine n (fun () ->
@@ -327,7 +327,7 @@ let test_sequencer_graceful_leave () =
 
 let test_late_joiner_sees_suffix () =
   let w = make_world ~seed:20L () in
-  let n1 = node ~id:1 "srv1" and n4 = node ~id:4 "late" in
+  let n1 = node ~id:1 and n4 = node ~id:4 in
   let nic1 = Simnet.Network.attach w.net n1 in
   let nic4 = Simnet.Network.attach w.net n4 in
   let m1 = ref None and late_log = ref [] in

@@ -6,7 +6,7 @@ type Simnet.Payload.t += Ping of int
 
 let test_unicast_latency () =
   let w = make_world ~latency:{ base = 1.0; jitter = 0.0; local = 0.05 } () in
-  let n1 = node ~id:1 "n1" and n2 = node ~id:2 "n2" in
+  let n1 = node ~id:1 and n2 = node ~id:2 in
   let nic1 = Simnet.Network.attach w.net n1 in
   let nic2 = Simnet.Network.attach w.net n2 in
   let sock2 = Simnet.Network.socket nic2 ~proto:"test" in
@@ -21,7 +21,7 @@ let test_unicast_latency () =
 
 let test_self_send_is_local () =
   let w = make_world ~latency:{ base = 1.0; jitter = 0.0; local = 0.05 } () in
-  let n1 = node ~id:1 "n1" in
+  let n1 = node ~id:1 in
   let nic1 = Simnet.Network.attach w.net n1 in
   let sock = Simnet.Network.socket nic1 ~proto:"test" in
   let arrival = ref nan in
@@ -33,7 +33,7 @@ let test_self_send_is_local () =
   Alcotest.(check (float 1e-9)) "loopback latency" 0.05 !arrival
 
 let collect_multicast w ~ids ~sender_id =
-  let nodes = List.map (fun id -> node ~id (Printf.sprintf "n%d" id)) ids in
+  let nodes = List.map (fun id -> node ~id) ids in
   let nics = List.map (fun n -> (Sim.Node.id n, Simnet.Network.attach w.net n)) nodes in
   let received = ref [] in
   List.iter2
@@ -63,7 +63,7 @@ let test_multicast_respects_partitions () =
 
 let test_partition_blocks_unicast_and_heals () =
   let w = make_world () in
-  let n1 = node ~id:1 "n1" and n2 = node ~id:2 "n2" in
+  let n1 = node ~id:1 and n2 = node ~id:2 in
   let nic1 = Simnet.Network.attach w.net n1 in
   let nic2 = Simnet.Network.attach w.net n2 in
   let sock2 = Simnet.Network.socket nic2 ~proto:"test" in
@@ -95,7 +95,7 @@ let test_reachability_matrix () =
 
 let test_crash_drops_in_flight () =
   let w = make_world ~latency:{ base = 5.0; jitter = 0.0; local = 0.05 } () in
-  let n1 = node ~id:1 "n1" and n2 = node ~id:2 "n2" in
+  let n1 = node ~id:1 and n2 = node ~id:2 in
   let nic1 = Simnet.Network.attach w.net n1 in
   let nic2 = Simnet.Network.attach w.net n2 in
   let sock2 = Simnet.Network.socket nic2 ~proto:"test" in
@@ -112,7 +112,7 @@ let test_crash_drops_in_flight () =
 
 let test_restart_needs_new_nic () =
   let w = make_world ~latency:{ base = 1.0; jitter = 0.0; local = 0.05 } () in
-  let n1 = node ~id:1 "n1" and n2 = node ~id:2 "n2" in
+  let n1 = node ~id:1 and n2 = node ~id:2 in
   let nic1 = Simnet.Network.attach w.net n1 in
   let received = ref 0 in
   let start_receiver () =
@@ -141,7 +141,7 @@ let test_restart_needs_new_nic () =
 
 let test_loss () =
   let w = make_world () in
-  let n1 = node ~id:1 "n1" and n2 = node ~id:2 "n2" in
+  let n1 = node ~id:1 and n2 = node ~id:2 in
   let nic1 = Simnet.Network.attach w.net n1 in
   let nic2 = Simnet.Network.attach w.net n2 in
   let sock2 = Simnet.Network.socket nic2 ~proto:"test" in
@@ -163,7 +163,7 @@ let test_loss () =
 
 let test_fault_filter () =
   let w = make_world () in
-  let n1 = node ~id:1 "n1" and n2 = node ~id:2 "n2" in
+  let n1 = node ~id:1 and n2 = node ~id:2 in
   let nic1 = Simnet.Network.attach w.net n1 in
   let nic2 = Simnet.Network.attach w.net n2 in
   let sock2 = Simnet.Network.socket nic2 ~proto:"test" in
@@ -191,7 +191,7 @@ let test_fault_filter () =
 
 let test_packet_metrics () =
   let w = make_world () in
-  let n1 = node ~id:1 "n1" and n2 = node ~id:2 "n2" in
+  let n1 = node ~id:1 and n2 = node ~id:2 in
   let nic1 = Simnet.Network.attach w.net n1 in
   let nic2 = Simnet.Network.attach w.net n2 in
   let _sock2 = Simnet.Network.socket nic2 ~proto:"test" in
@@ -213,7 +213,7 @@ let test_multicast_order_after_churn () =
   let order = ref [] in
   let nodes = Hashtbl.create 8 in
   let join id =
-    let n = node ~id (Printf.sprintf "n%d" id) in
+    let n = node ~id in
     Hashtbl.replace nodes id n;
     let nic = Simnet.Network.attach w.net n in
     let sock = Simnet.Network.socket nic ~proto:"test" in
@@ -252,7 +252,7 @@ let test_multicast_same_seed_arrivals () =
     let arrivals = ref [] in
     let nodes = Hashtbl.create 8 in
     let join id =
-      let n = node ~id (Printf.sprintf "n%d" id) in
+      let n = node ~id in
       Hashtbl.replace nodes id n;
       let nic = Simnet.Network.attach w.net n in
       let sock = Simnet.Network.socket nic ~proto:"test" in
@@ -284,12 +284,12 @@ let test_multicast_same_seed_arrivals () =
    silently take over the first one's NIC. *)
 let test_attach_rejects_taken_id () =
   let w = make_world () in
-  let n7 = node ~id:7 "n7" in
+  let n7 = node ~id:7 in
   ignore (Simnet.Network.attach w.net n7);
   ignore (Simnet.Network.attach w.net n7);
   Alcotest.check_raises "second node with id 7"
     (Invalid_argument "Network.attach: node id 7 taken") (fun () ->
-      ignore (Simnet.Network.attach w.net (node ~id:7 "impostor")))
+      ignore (Simnet.Network.attach w.net (node ~id:7)))
 
 let suite =
   let tc = Alcotest.test_case in
@@ -317,7 +317,7 @@ let test_rails_survive_single_rail_failure () =
   (* A fresh 2-rail world, built directly. *)
   let engine = Sim.Engine.create ~seed:5L () in
   let net = Simnet.Network.create engine ~rails:2 () in
-  let n1 = node ~id:1 "n1" and n2 = node ~id:2 "n2" in
+  let n1 = node ~id:1 and n2 = node ~id:2 in
   let nic1 = Simnet.Network.attach net n1 in
   let nic2 = Simnet.Network.attach net n2 in
   let sock2 = Simnet.Network.socket nic2 ~proto:"test" in

@@ -139,7 +139,7 @@ let test_crash_during_recovery_flag () =
   (* Simulate "crashed in the middle of recovery": the recovering flag
      is set in its commit block. *)
   let device = C.device cluster 2 in
-  let helper = Sim.Node.create ~id:99 ~name:"helper" in
+  let helper = Sim.Node.create ~id:99 in
   Sim.Proc.boot (C.engine cluster) helper (fun () ->
       match Storage.Commit_block.decode (Storage.Block_device.peek device 0) with
       | Some cb -> Storage.Commit_block.write device { cb with recovering = true }

@@ -28,7 +28,7 @@ let test_run_until () =
 
 let test_sleep_sequence () =
   let engine = Sim.Engine.create () in
-  let node = Sim.Node.create ~id:1 ~name:"n1" in
+  let node = Sim.Node.create ~id:1 in
   let trace = ref [] in
   Sim.Proc.boot engine node (fun () ->
       trace := (Sim.Proc.now (), "start") :: !trace;
@@ -43,7 +43,7 @@ let test_sleep_sequence () =
 
 let test_spawn_and_yield () =
   let engine = Sim.Engine.create () in
-  let node = Sim.Node.create ~id:1 ~name:"n1" in
+  let node = Sim.Node.create ~id:1 in
   let order = ref [] in
   Sim.Proc.boot engine node (fun () ->
       Sim.Proc.spawn (fun () -> order := "child" :: !order);
@@ -57,7 +57,7 @@ let test_spawn_and_yield () =
 
 let test_crash_kills_fibers () =
   let engine = Sim.Engine.create () in
-  let node = Sim.Node.create ~id:1 ~name:"n1" in
+  let node = Sim.Node.create ~id:1 in
   let progressed = ref false in
   Sim.Proc.boot engine node (fun () ->
       Sim.Proc.sleep 10.0;
@@ -68,7 +68,7 @@ let test_crash_kills_fibers () =
 
 let test_restart_does_not_revive_old_fibers () =
   let engine = Sim.Engine.create () in
-  let node = Sim.Node.create ~id:1 ~name:"n1" in
+  let node = Sim.Node.create ~id:1 in
   let progressed = ref false in
   Sim.Proc.boot engine node (fun () ->
       Sim.Proc.sleep 10.0;
@@ -82,7 +82,7 @@ let test_restart_does_not_revive_old_fibers () =
 
 let test_mailbox_fifo () =
   let engine = Sim.Engine.create () in
-  let node = Sim.Node.create ~id:1 ~name:"n1" in
+  let node = Sim.Node.create ~id:1 in
   let mbox = Sim.Mailbox.create () in
   let received = ref [] in
   Sim.Proc.boot engine node (fun () ->
@@ -99,7 +99,7 @@ let test_mailbox_fifo () =
 
 let test_mailbox_timeout () =
   let engine = Sim.Engine.create () in
-  let node = Sim.Node.create ~id:1 ~name:"n1" in
+  let node = Sim.Node.create ~id:1 in
   let outcome = ref "" in
   let mbox : string Sim.Mailbox.t = Sim.Mailbox.create () in
   Sim.Proc.boot engine node (fun () ->
@@ -112,7 +112,7 @@ let test_mailbox_timeout () =
 
 let test_mailbox_waiter_count () =
   let engine = Sim.Engine.create () in
-  let node = Sim.Node.create ~id:1 ~name:"n1" in
+  let node = Sim.Node.create ~id:1 in
   let mbox : int Sim.Mailbox.t = Sim.Mailbox.create () in
   let observed = ref (-1) in
   for _ = 1 to 3 do
@@ -129,8 +129,8 @@ let test_mailbox_waiter_count () =
 
 let test_message_not_lost_on_dead_waiter () =
   let engine = Sim.Engine.create () in
-  let node1 = Sim.Node.create ~id:1 ~name:"n1" in
-  let node2 = Sim.Node.create ~id:2 ~name:"n2" in
+  let node1 = Sim.Node.create ~id:1 in
+  let node2 = Sim.Node.create ~id:2 in
   let mbox : string Sim.Mailbox.t = Sim.Mailbox.create () in
   let winner = ref "" in
   Sim.Proc.boot engine node1 (fun () -> winner := Sim.Mailbox.recv mbox);
@@ -143,7 +143,7 @@ let test_message_not_lost_on_dead_waiter () =
 
 let test_ivar_broadcast () =
   let engine = Sim.Engine.create () in
-  let node = Sim.Node.create ~id:1 ~name:"n1" in
+  let node = Sim.Node.create ~id:1 in
   let ivar = Sim.Ivar.create () in
   let seen = ref 0 in
   for _ = 1 to 4 do
@@ -158,7 +158,7 @@ let test_ivar_broadcast () =
 
 let test_ivar_error_propagation () =
   let engine = Sim.Engine.create () in
-  let node = Sim.Node.create ~id:1 ~name:"n1" in
+  let node = Sim.Node.create ~id:1 in
   let ivar : int Sim.Ivar.t = Sim.Ivar.create () in
   let outcome = ref "" in
   Sim.Proc.boot engine node (fun () ->
@@ -172,7 +172,7 @@ let test_ivar_error_propagation () =
 
 let test_resource_serialises () =
   let engine = Sim.Engine.create () in
-  let node = Sim.Node.create ~id:1 ~name:"n1" in
+  let node = Sim.Node.create ~id:1 in
   let cpu = Sim.Resource.create ~capacity:1 () in
   let finish_times = ref [] in
   for _ = 1 to 3 do
@@ -186,7 +186,7 @@ let test_resource_serialises () =
 
 let test_resource_release_on_exception () =
   let engine = Sim.Engine.create () in
-  let node = Sim.Node.create ~id:1 ~name:"n1" in
+  let node = Sim.Node.create ~id:1 in
   let cpu = Sim.Resource.create ~capacity:1 () in
   let second_ran = ref false in
   Sim.Proc.boot engine node (fun () ->
@@ -200,7 +200,7 @@ let test_resource_release_on_exception () =
 
 let test_with_timeout_fires () =
   let engine = Sim.Engine.create () in
-  let node = Sim.Node.create ~id:1 ~name:"n1" in
+  let node = Sim.Node.create ~id:1 in
   let outcome = ref "" in
   Sim.Proc.boot engine node (fun () ->
       match Sim.Proc.with_timeout 5.0 (fun () -> Sim.Proc.sleep 100.0) with
@@ -211,7 +211,7 @@ let test_with_timeout_fires () =
 
 let test_with_timeout_completes () =
   let engine = Sim.Engine.create () in
-  let node = Sim.Node.create ~id:1 ~name:"n1" in
+  let node = Sim.Node.create ~id:1 in
   let outcome = ref 0 in
   Sim.Proc.boot engine node (fun () ->
       outcome :=
@@ -223,7 +223,7 @@ let test_with_timeout_completes () =
 
 let test_condvar_await () =
   let engine = Sim.Engine.create () in
-  let node = Sim.Node.create ~id:1 ~name:"n1" in
+  let node = Sim.Node.create ~id:1 in
   let cv = Sim.Condvar.create () in
   let counter = ref 0 in
   let done_at = ref 0.0 in
@@ -243,7 +243,7 @@ let test_determinism () =
   let run_once seed =
     let engine = Sim.Engine.create ~seed () in
     let rng = Sim.Engine.rng engine in
-    let node = Sim.Node.create ~id:1 ~name:"n1" in
+    let node = Sim.Node.create ~id:1 in
     let log = Buffer.create 64 in
     for i = 1 to 5 do
       Sim.Proc.boot engine node (fun () ->
@@ -549,7 +549,7 @@ let test_timer_vs_model =
 let test_cancelled_mailbox_timeout_never_wakes () =
   let run ~timeout =
     let engine = Sim.Engine.create () in
-    let node = Sim.Node.create ~id:1 ~name:"n1" in
+    let node = Sim.Node.create ~id:1 in
     let mbox : string Sim.Mailbox.t = Sim.Mailbox.create () in
     let outcome = ref "" in
     Sim.Proc.boot engine node (fun () ->
@@ -575,7 +575,7 @@ let test_cancelled_mailbox_timeout_never_wakes () =
 
 let test_cancelled_condvar_timeout_never_wakes () =
   let engine = Sim.Engine.create () in
-  let node = Sim.Node.create ~id:1 ~name:"n1" in
+  let node = Sim.Node.create ~id:1 in
   let cv = Sim.Condvar.create () in
   let outcome = ref "" in
   Sim.Proc.boot engine node (fun () ->

@@ -9,7 +9,7 @@ let make_device w ?(blocks = 64) ?(write_ms = 40.0) ?(read_ms = 15.0) () =
 
 let test_device_latency_and_serialisation () =
   let w = make_world () in
-  let n = node ~id:1 "n1" in
+  let n = node ~id:1 in
   let device = make_device w () in
   let finished = ref [] in
   (* Two writes and a read issued together must serialise: 40+40+15. *)
@@ -30,7 +30,7 @@ let test_device_latency_and_serialisation () =
 
 let test_device_write_survives_caller_crash () =
   let w = make_world () in
-  let n = node ~id:1 "n1" in
+  let n = node ~id:1 in
   let device = make_device w () in
   Sim.Proc.boot w.engine n (fun () ->
       Storage.Block_device.write device 3 (Bytes.of_string "durable"));
@@ -43,7 +43,7 @@ let test_device_write_survives_caller_crash () =
 
 let test_commit_block_roundtrip () =
   let w = make_world () in
-  let n = node ~id:1 "n1" in
+  let n = node ~id:1 in
   let device = make_device w () in
   let cb =
     {
@@ -68,7 +68,7 @@ let test_commit_block_roundtrip () =
 
 let test_commit_block_blank () =
   let w = make_world () in
-  let n = node ~id:1 "n1" in
+  let n = node ~id:1 in
   let device = make_device w () in
   let result = run_fiber w n (fun () -> Storage.Commit_block.read device) in
   Alcotest.(check bool) "blank block reads as None" true (result = None)
@@ -96,7 +96,7 @@ let commit_block_codec_property =
 
 let test_object_table () =
   let w = make_world () in
-  let n = node ~id:1 "n1" in
+  let n = node ~id:1 in
   let device = make_device w () in
   let table = Storage.Object_table.attach device ~first_block:1 ~slots:8 in
   let cap = Capability.owner ~port:"bullet@9" ~obj:3 (Capability.mint_secret 1L) in
@@ -118,8 +118,8 @@ let test_object_table () =
 (* Bullet helpers: one server node, one client node. *)
 let bullet_world ?(seed = 5L) () =
   let w = make_world ~seed () in
-  let server = node ~id:1 "bullet-server" in
-  let client = node ~id:2 "client" in
+  let server = node ~id:1 in
+  let client = node ~id:2 in
   let snic = Simnet.Network.attach w.net server in
   let cnic = Simnet.Network.attach w.net client in
   let st = Rpc.Transport.create w.net snic in
@@ -197,7 +197,7 @@ let test_bullet_crash_recovery () =
 
 let test_nvram_append_and_annihilate () =
   let w = make_world () in
-  let n = node ~id:1 "n1" in
+  let n = node ~id:1 in
   let nv =
     Storage.Nvram.create ~capacity:100 ~size_of:String.length ~write_ms:0.05 ()
   in
@@ -217,7 +217,7 @@ let test_nvram_append_and_annihilate () =
 
 let test_nvram_is_fast () =
   let w = make_world () in
-  let n = node ~id:1 "n1" in
+  let n = node ~id:1 in
   let nv =
     Storage.Nvram.create ~capacity:24_576 ~size_of:String.length ~write_ms:0.05 ()
   in
@@ -257,7 +257,7 @@ let suite =
    all-or-nothing on capacity. *)
 let test_nvram_append_all_group_commit () =
   let w = make_world () in
-  let n = node ~id:1 "n1" in
+  let n = node ~id:1 in
   let nv =
     Storage.Nvram.create ~capacity:20 ~size_of:String.length ~write_ms:0.05 ()
   in

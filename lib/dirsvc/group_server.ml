@@ -25,10 +25,7 @@ type staged_xact = {
 type t = {
   params : Params.t;
   metrics : Sim.Metrics.t option;
-  (* Per-op latency histograms, resolved once per op name: the labelled
-     key ["dirsvc.op_ms{op=...,server=...}"] is built at first use, not
-     per request. *)
-  op_hists : (string, Sim.Metrics.Histogram.t) Hashtbl.t;
+  latency : Op_latency.t;
   net : Simnet.Network.t;
   node : Sim.Node.t;
   transport : Rpc.Transport.t;
@@ -109,48 +106,6 @@ let majority_ok t =
 let emit t ~name attrs =
   Sim.Engine.emit (Simnet.Network.engine t.net) ~subsystem:"dirsvc"
     ~node:(Sim.Node.id t.node) ~name attrs
-
-let op_histogram t m ~op =
-  match Hashtbl.find_opt t.op_hists op with
-  | Some h -> h
-  | None ->
-      (* The shard label exists only in sharded deployments: a
-         single-group run's metrics output must stay byte-identical. *)
-      let labels =
-        match t.shard with
-        | None -> [ ("op", op); ("server", string_of_int t.server_id) ]
-        | Some k ->
-            [
-              ("op", op);
-              ("server", string_of_int t.server_id);
-              ("shard", string_of_int k);
-            ]
-      in
-      let h = Sim.Metrics.histogram_handle m "dirsvc.op_ms" ~labels in
-      Hashtbl.add t.op_hists op h;
-      h
-
-(* Wraps a client-facing handler: per-op latency lands in the
-   ["dirsvc.op_ms"] histogram labelled by server and op kind (handle
-   cached per op name), plus a trace event carrying the outcome. *)
-let timed_op t ~op f =
-  let engine = Simnet.Network.engine t.net in
-  let started = Sim.Engine.now engine in
-  let reply = f () in
-  let elapsed = Sim.Engine.now engine -. started in
-  (match t.metrics with
-  | Some m -> Sim.Metrics.Histogram.observe (op_histogram t m ~op) elapsed
-  | None -> ());
-  emit t ~name:"op" (fun () ->
-      [
-        ("op", Sim.Trace.Str op);
-        ("server", Sim.Trace.Int t.server_id);
-        ("latency_ms", Sim.Trace.Float elapsed);
-        ( "status",
-          Sim.Trace.Str
-            (match reply with Wire.Err_rep _ -> "err" | _ -> "ok") );
-      ]);
-  reply
 
 let fresh_secret t =
   t.next_secret <- t.next_secret + 1;
@@ -359,43 +314,10 @@ let flush_commits t =
 
 (* ---- Applying ordered updates -------------------------------------- *)
 
-let execute_op t ~origin ~uid op =
-  let useq' = t.useq + 1 in
-  let outcome = Directory.apply t.store ~seqno:useq' op in
-  (match outcome with
-  | Ok (store', result) ->
-      let dir_id =
-        match result with
-        | Directory.Created id -> id
-        | Directory.Updated -> (
-            match Directory.dir_id_of_op t.store op with
-            | Some id -> id
-            | None -> assert false)
-      in
-      t.useq <- useq';
-      t.store <- store';
-      t.op_log <- { a_useq = useq'; a_origin = origin; a_uid = uid; a_op = op } :: t.op_log;
-      commit_update t ~dir_id ~op
-  | Error _ -> ());
-  if origin = Sim.Node.id t.node then begin
-    let simplified =
-      match outcome with Ok (_, result) -> Ok result | Error e -> Error e
-    in
-    Hashtbl.replace t.results (origin, uid) simplified
-  end
-
-(* ---- Cross-shard transactions (ordered side) ------------------------ *)
-
-let xstatus_of t txid =
-  match Hashtbl.find_opt t.xdecisions txid with
-  | Some true -> Wire.Xcommitted
-  | Some false -> Wire.Xaborted
-  | None -> if Hashtbl.mem t.staged_x txid then Wire.Xstaged else Wire.Xunknown
-
-(* Apply a committed cross-shard half through the exact same durable
-   path as any ordered update: useq bump, op_log entry, commit block /
-   NVRAM record — so a crashed replica replays it from the commit
-   block's log like everything else. *)
+(* Every ordered update — a directory op or a committed cross-shard
+   half — takes the same durable path: useq bump, op_log entry, commit
+   block / NVRAM record, so a crashed replica replays it from the
+   commit block's log like everything else. *)
 let apply_committed t ~origin ~uid op =
   let useq' = t.useq + 1 in
   match Directory.apply t.store ~seqno:useq' op with
@@ -416,6 +338,19 @@ let apply_committed t ~origin ~uid op =
       commit_update t ~dir_id ~op;
       Ok result
   | Error e -> Error e
+
+let execute_op t ~origin ~uid op =
+  let outcome = apply_committed t ~origin ~uid op in
+  if origin = Sim.Node.id t.node then
+    Hashtbl.replace t.results (origin, uid) outcome
+
+(* ---- Cross-shard transactions (ordered side) ------------------------ *)
+
+let xstatus_of t txid =
+  match Hashtbl.find_opt t.xdecisions txid with
+  | Some true -> Wire.Xcommitted
+  | Some false -> Wire.Xaborted
+  | None -> if Hashtbl.mem t.staged_x txid then Wire.Xstaged else Wire.Xunknown
 
 let emit_xact t ~name ~txid =
   emit t ~name (fun () ->
@@ -627,24 +562,25 @@ let wrong_shard t request =
       | None -> false)
 
 let client_handler t ~client:_ body =
+  let timed = Op_latency.time t.latency in
   match body with
   | Wire.Dir_request request when wrong_shard t request ->
       Wire.Dir_reply (Wire.Err_rep Wire.Wrong_shard)
   | Wire.Dir_request (Wire.Xshard_req cmd) ->
-      Wire.Dir_reply (timed_op t ~op:"xshard" (fun () -> handle_xshard t cmd))
+      Wire.Dir_reply (timed ~op:"xshard" (fun () -> handle_xshard t cmd))
   | Wire.Dir_request (Wire.Write_op op) ->
       Wire.Dir_reply
-        (timed_op t ~op:(Directory.op_kind op) (fun () -> handle_write t op))
+        (timed ~op:(Directory.op_kind op) (fun () -> handle_write t op))
   | Wire.Dir_request (Wire.List_req { cap; column }) ->
       Wire.Dir_reply
-        (timed_op t ~op:"list" (fun () ->
+        (timed ~op:"list" (fun () ->
              handle_read t (fun store ->
                  match Directory.list_dir store ~cap ~column with
                  | Ok listing -> Wire.Listing_rep listing
                  | Error e -> Wire.Err_rep (Wire.Op_error e))))
   | Wire.Dir_request (Wire.Lookup_req { items; column }) ->
       Wire.Dir_reply
-        (timed_op t ~op:"lookup" (fun () ->
+        (timed ~op:"lookup" (fun () ->
              handle_read t (fun store ->
                  let resolve (cap, name) =
                    match Directory.lookup store ~cap ~name ~column with
@@ -1220,11 +1156,23 @@ let start ~params ?metrics ?nvram ?shard ?xnet net ~server_id ~peers ~node
   let table =
     Storage.Object_table.attach device ~first_block:1 ~slots:params.Params.admin_slots
   in
+  (* The shard label exists only in sharded deployments: a single-group
+     run's metrics output must stay byte-identical. *)
+  let latency =
+    Op_latency.create (Simnet.Network.engine net) ~node:(Sim.Node.id node)
+      ?metrics
+      ~labels:
+        (("server", string_of_int server_id)
+        :: (match shard with
+           | None -> []
+           | Some k -> [ ("shard", string_of_int k) ]))
+      ~server:(Sim.Trace.Int server_id) ()
+  in
   let t =
     {
       params;
       metrics;
-      op_hists = Hashtbl.create 8;
+      latency;
       net;
       node;
       transport;

@@ -1,8 +1,6 @@
 type t = {
   params : Params.t;
-  metrics : Sim.Metrics.t option;
-  op_hists : (string, Sim.Metrics.Histogram.t) Hashtbl.t; (* per-op, see timed_op *)
-  engine : Sim.Engine.t;
+  latency : Op_latency.t;
   node : Sim.Node.t;
   device : Storage.Block_device.t;
   port : string;
@@ -67,51 +65,22 @@ let handle_read t serve =
   Sim.Resource.use t.cpu t.params.Params.nfs_cpu_read_ms;
   serve t.store
 
-let op_histogram t m ~op =
-  match Hashtbl.find_opt t.op_hists op with
-  | Some h -> h
-  | None ->
-      let h =
-        Sim.Metrics.histogram_handle m "dirsvc.op_ms"
-          ~labels:[ ("op", op); ("server", "nfs") ]
-      in
-      Hashtbl.add t.op_hists op h;
-      h
-
-let timed_op t ~op f =
-  let started = Sim.Engine.now t.engine in
-  let reply = f () in
-  let elapsed = Sim.Engine.now t.engine -. started in
-  (match t.metrics with
-  | Some m -> Sim.Metrics.Histogram.observe (op_histogram t m ~op) elapsed
-  | None -> ());
-  Sim.Engine.emit t.engine ~subsystem:"dirsvc" ~node:(Sim.Node.id t.node)
-    ~name:"op" (fun () ->
-      [
-        ("op", Sim.Trace.Str op);
-        ("server", Sim.Trace.Str "nfs");
-        ("latency_ms", Sim.Trace.Float elapsed);
-        ( "status",
-          Sim.Trace.Str
-            (match reply with Wire.Err_rep _ -> "err" | _ -> "ok") );
-      ]);
-  reply
-
 let client_handler t ~client:_ body =
+  let timed = Op_latency.time t.latency in
   match body with
   | Wire.Dir_request (Wire.Write_op op) ->
       Wire.Dir_reply
-        (timed_op t ~op:(Directory.op_kind op) (fun () -> handle_write t op))
+        (timed ~op:(Directory.op_kind op) (fun () -> handle_write t op))
   | Wire.Dir_request (Wire.List_req { cap; column }) ->
       Wire.Dir_reply
-        (timed_op t ~op:"list" (fun () ->
+        (timed ~op:"list" (fun () ->
              handle_read t (fun store ->
                  match Directory.list_dir store ~cap ~column with
                  | Ok listing -> Wire.Listing_rep listing
                  | Error e -> Wire.Err_rep (Wire.Op_error e))))
   | Wire.Dir_request (Wire.Lookup_req { items; column }) ->
       Wire.Dir_reply
-        (timed_op t ~op:"lookup" (fun () ->
+        (timed ~op:"lookup" (fun () ->
              handle_read t (fun store ->
                  let resolve (cap, name) =
                    match Directory.lookup store ~cap ~name ~column with
@@ -127,9 +96,10 @@ let start ~params ?metrics net ~node ~device ~port () =
   let t =
     {
       params;
-      metrics;
-      op_hists = Hashtbl.create 8;
-      engine = Simnet.Network.engine net;
+      latency =
+        Op_latency.create (Simnet.Network.engine net) ~node:(Sim.Node.id node)
+          ?metrics ~labels:[ ("server", "nfs") ] ~server:(Sim.Trace.Str "nfs")
+          ();
       node;
       device;
       port;

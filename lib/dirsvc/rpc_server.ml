@@ -1,8 +1,6 @@
 type t = {
   params : Params.t;
-  metrics : Sim.Metrics.t option;
-  op_hists : (string, Sim.Metrics.Histogram.t) Hashtbl.t; (* per-op, see timed_op *)
-  net : Simnet.Network.t;
+  latency : Op_latency.t;
   node : Sim.Node.t;
   transport : Rpc.Transport.t;
   server_id : int; (* 1 or 2 *)
@@ -225,55 +223,22 @@ let handle_read t serve =
   Sim.Resource.use t.cpu t.params.Params.cpu_read_ms;
   serve t.store
 
-let op_histogram t m ~op =
-  match Hashtbl.find_opt t.op_hists op with
-  | Some h -> h
-  | None ->
-      let h =
-        Sim.Metrics.histogram_handle m "dirsvc.op_ms"
-          ~labels:[ ("op", op); ("server", string_of_int t.server_id) ]
-      in
-      Hashtbl.add t.op_hists op h;
-      h
-
-(* Same observability contract as the group server: the per-op latency
-   histogram ["dirsvc.op_ms"] labelled by server and op kind (handle
-   cached per op name), plus one "dirsvc" trace event per request. *)
-let timed_op t ~op f =
-  let engine = Simnet.Network.engine t.net in
-  let started = Sim.Engine.now engine in
-  let reply = f () in
-  let elapsed = Sim.Engine.now engine -. started in
-  (match t.metrics with
-  | Some m -> Sim.Metrics.Histogram.observe (op_histogram t m ~op) elapsed
-  | None -> ());
-  Sim.Engine.emit engine ~subsystem:"dirsvc" ~node:(Sim.Node.id t.node)
-    ~name:"op" (fun () ->
-      [
-        ("op", Sim.Trace.Str op);
-        ("server", Sim.Trace.Int t.server_id);
-        ("latency_ms", Sim.Trace.Float elapsed);
-        ( "status",
-          Sim.Trace.Str
-            (match reply with Wire.Err_rep _ -> "err" | _ -> "ok") );
-      ]);
-  reply
-
 let client_handler t ~client:_ body =
+  let timed = Op_latency.time t.latency in
   match body with
   | Wire.Dir_request (Wire.Write_op op) ->
       Wire.Dir_reply
-        (timed_op t ~op:(Directory.op_kind op) (fun () -> handle_write t op))
+        (timed ~op:(Directory.op_kind op) (fun () -> handle_write t op))
   | Wire.Dir_request (Wire.List_req { cap; column }) ->
       Wire.Dir_reply
-        (timed_op t ~op:"list" (fun () ->
+        (timed ~op:"list" (fun () ->
              handle_read t (fun store ->
                  match Directory.list_dir store ~cap ~column with
                  | Ok listing -> Wire.Listing_rep listing
                  | Error e -> Wire.Err_rep (Wire.Op_error e))))
   | Wire.Dir_request (Wire.Lookup_req { items; column }) ->
       Wire.Dir_reply
-        (timed_op t ~op:"lookup" (fun () ->
+        (timed ~op:"lookup" (fun () ->
              handle_read t (fun store ->
                  let resolve (cap, name) =
                    match Directory.lookup store ~cap ~name ~column with
@@ -326,12 +291,16 @@ let start ~params ?metrics net ~server_id ~peer_node ~node ~device
     Storage.Object_table.attach device ~first_block:1
       ~slots:params.Params.admin_slots
   in
+  let latency =
+    Op_latency.create (Simnet.Network.engine net) ~node:(Sim.Node.id node)
+      ?metrics
+      ~labels:[ ("server", string_of_int server_id) ]
+      ~server:(Sim.Trace.Int server_id) ()
+  in
   let t =
     {
       params;
-      metrics;
-      op_hists = Hashtbl.create 8;
-      net;
+      latency;
       node;
       transport;
       server_id;

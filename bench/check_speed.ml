@@ -1,61 +1,133 @@
-(* Events-per-packet gate, run from [dune build @speed-smoke].
+(* Regression gates, run from [dune build @speed-smoke] (and the
+   parallel/shard smoke aliases). Every gate runs a seed-fixed scenario
+   of spec.ml, so each gated number is exact for a given build; only the
+   parallel gate measures wall clock. Five gates, in order:
 
-   Engine events per wire packet is the cheapest proxy for "are we
+   - events per packet on the speed experiment's --quick scenarios;
+   - allocation and commits per op of the batched scaled run;
+   - packets per op of the saturating locate-storm run;
+   - shard scaling: four shards must at least double one group's ops;
+   - parallel speedup of the figure grid (skipped below 4 cores).
+
+   A failing gate prints FAIL, explains on stderr and exits 1. *)
+
+let check ok why fmt =
+  Printf.ksprintf
+    (fun line ->
+      Printf.printf "%s %s\n" line (if ok then "ok" else "FAIL");
+      if not ok then begin
+        prerr_string why;
+        exit 1
+      end)
+    fmt
+
+(* Engine events per wire packet is the cheapest proxy for "are we
    simulating work that never happens": delivery fan-out to NICs that
    discard the packet, timeout guards that fire dead, and polling
-   drivers all inflate events without adding packets. The scenarios are
-   seed-fixed, so each ratio is exact for a given build; the ceilings
-   sit ~50% above the current values so routine drift passes but a
+   drivers all inflate events without adding packets. The ceilings sit
+   ~50% above the current values so routine drift passes but a
    regression that reintroduces a per-receiver or per-guard event class
    (historically a 3-14x jump on the scaled scenario) fails loudly. *)
 
-module C = Dirsvc.Cluster
+let events_gate () =
+  List.iter2
+    (fun (s : Spec.scenario) ceiling ->
+      let r = Spec.run ~quick:true s in
+      let events = Spec.events r and packets = Spec.count r "net.pkt" in
+      let ratio = float_of_int events /. float_of_int packets in
+      check (ratio <= ceiling)
+        (Printf.sprintf
+           "check_speed: events-per-packet ceiling exceeded in %s.\n\
+            Something is scheduling engine events that do no useful work — \
+            see DESIGN.md on timers and event-count engineering.\n"
+           s.name)
+        "%-20s %8d events %7d packets  %5.2f events/packet  (ceiling %4.1f)"
+        s.name events packets ratio ceiling)
+    Spec.speed_scenarios [ 8.0; 6.0; 7.5; 8.0 ]
 
-let scenarios =
-  [
-    ( "fig7_latency",
-      8.0,
-      fun () ->
-        let cluster = C.create ~seed:7L C.Group_disk in
-        ignore (Workload.Scenarios.run_fig7 ~repeats:3 cluster);
-        cluster );
-    ( "fig8_lookup",
-      6.0,
-      fun () ->
-        let cluster = C.create ~seed:801L C.Group_disk in
-        ignore (Workload.Throughput.lookups cluster ~clients:7 ~window:500.0);
-        cluster );
-    ( "fig9_append_delete",
-      7.5,
-      fun () ->
-        let cluster = C.create ~seed:901L C.Group_disk in
-        ignore
-          (Workload.Throughput.append_deletes cluster ~clients:7
-             ~window:1_000.0);
-        cluster );
-    ( "scaled_50c_5s",
-      8.0,
-      fun () ->
-        let cluster = C.create ~seed:5001L ~servers:5 C.Group_disk in
-        ignore
-          (Workload.Throughput.append_deletes cluster ~clients:12
-             ~window:500.0);
-        cluster );
-  ]
+(* Group-commit gate: the full-size scaled update scenario with
+   sequencer batching on (batch_max = 8) must allocate at most 234k
+   minor words per completed op — 0.7x the unbatched run (batch = 1 of
+   the speed experiment: 334,219 words/op), so a build whose batching
+   stopped paying fails — and must average strictly under one durable
+   commit per op (~0.46 today; 1.0 would mean group commit stopped
+   grouping). The batched run measures ~66k words/op. *)
 
-(* Parallel-sweep gate: the same grid of scenario runs, fanned over a
+let alloc_ceiling = 234_000.0
+
+let alloc_gate () =
+  let t = Spec.timed ~quick:false (Spec.batched 8) in
+  let ops = t.result.point.Workload.Throughput.total_ops in
+  let mw_op = t.minor_words /. float_of_int ops in
+  let commits = Spec.count t.result "dirsvc.commit" in
+  let c_op = float_of_int commits /. float_of_int ops in
+  check
+    (mw_op <= alloc_ceiling && c_op < 1.0)
+    (Printf.sprintf
+       "check_speed: batched group commit is not paying for itself — either \
+        the per-op allocation regressed past %.0f minor words or durable \
+        commits are back to one per update.\n"
+       alloc_ceiling)
+    "alloc gate: batched scaled run  %d ops  %.0f minor words/op (ceiling \
+     %.0f)  %.3f commits/op (ceiling < 1.0)"
+    ops mw_op alloc_ceiling c_op
+
+(* Locate-storm gate: 50 closed-loop append+delete callers on 5
+   replicas keep every server thread busy, and a busy Amoeba server
+   answers a Locate with silence. Clients that re-multicast on a fixed
+   short period then spend nearly all packets on locates that find
+   nobody. With the pause doubling per empty round this run measures
+   ~272 packets per completed op; the fixed 5 ms pause measured ~453.
+   The ceiling sits between the two. *)
+
+let storm_ceiling = 360.0
+
+let storm_gate () =
+  let r = Spec.run ~quick:true Spec.storm in
+  let ops = r.point.Workload.Throughput.total_ops in
+  let per_op = float_of_int (Spec.count r "net.pkt") /. float_of_int ops in
+  check (per_op <= storm_ceiling)
+    (Printf.sprintf
+       "check_speed: saturated callers sent %.1f packets per completed op \
+        (ceiling %.0f).\n\
+        Clients are polling busy servers with Locate multicasts again — \
+        check the empty-round back-off in Rpc.Transport.ensure_located.\n"
+       per_op storm_ceiling)
+    "storm gate: 50 callers on 5 replicas  %d ops  %.1f packets/op (ceiling \
+     %.0f)"
+    ops per_op storm_ceiling
+
+(* Shard-scaling gate: splitting the namespace over four sequencer
+   groups must actually buy ordering parallelism — the shard workload on
+   a 4-shard deployment (3 servers each) must complete at least 2x the
+   client iterations of the single 12-server group in the same window. *)
+
+let shard_gate () =
+  let ops m =
+    (Spec.run ~quick:true (Spec.shard_gate_point m)).point
+      .Workload.Throughput.total_ops
+  in
+  let ops1 = ops 1 in
+  let ops4 = ops 4 in
+  let ratio = float_of_int ops4 /. float_of_int ops1 in
+  check (ratio >= 2.0)
+    (Printf.sprintf
+       "check_speed: four shards delivered %.2fx the single-group update \
+        throughput (must be >= 2x).\n\
+        The partition is not spreading ordering load — check the shard \
+        router's placement hashing and the per-shard sequencers.\n"
+       ratio)
+    "shard gate: shards=1 %d ops  shards=4 %d ops  speedup %.2fx  (floor \
+     2.00x)"
+    ops1 ops4 ratio
+
+(* Parallel-sweep gate: the --quick figure grid, fanned over a
    [Sim.Pool], must actually go faster — jobs=4 wall clock at most 0.6x
    jobs=1. Catches a pool regression that serializes workers (a lock
    held across job execution, a coordinator that stops helping) which
    the determinism tests cannot see: output stays identical either way.
    Wall-clock speedup needs real cores, so the gate skips itself on
    machines with fewer than 4, printing why. *)
-
-let grid_thunks () =
-  List.concat_map
-    (fun (_, _, run) ->
-      List.init 3 (fun _ () -> ignore (run ())))
-    scenarios
 
 let parallel_gate () =
   let cores = Domain.recommended_domain_count () in
@@ -65,163 +137,23 @@ let parallel_gate () =
        meaningful speedup measurement)\n"
       cores
   else begin
-    let time jobs =
-      Sim.Pool.with_pool ~jobs (fun pool ->
-          Gc.full_major ();
-          let t0 = Unix.gettimeofday () in
-          ignore (Sim.Pool.map pool (fun f -> f ()) (grid_thunks ()));
-          Unix.gettimeofday () -. t0)
-    in
+    let time jobs = Spec.pool_wall ~jobs (Spec.grid_thunks ~quick:true) in
     let t1 = time 1 in
     let t4 = time 4 in
     let ratio = t4 /. t1 in
-    let ok = ratio <= 0.6 in
-    Printf.printf
-      "parallel gate: jobs=1 %.3f s  jobs=4 %.3f s  ratio %.2f  (ceiling \
-       0.60) %s\n"
+    check (ratio <= 0.6)
+      (Printf.sprintf
+         "check_speed: jobs=4 grid took %.2fx the jobs=1 wall clock (must be \
+          <= 0.60x on %d cores).\n\
+          The domain pool is not delivering parallelism — check for \
+          serialization in Sim.Pool or shared mutable state.\n"
+         ratio cores)
+      "parallel gate: jobs=1 %.3f s  jobs=4 %.3f s  ratio %.2f  (ceiling 0.60)"
       t1 t4 ratio
-      (if ok then "ok" else "FAIL");
-    if not ok then begin
-      Printf.eprintf
-        "check_speed: jobs=4 grid took %.2fx the jobs=1 wall clock (must \
-         be <= 0.60x on %d cores).\n\
-         The domain pool is not delivering parallelism — check for \
-         serialization in Sim.Pool or shared mutable state.\n"
-        ratio cores;
-      exit 1
-    end
-  end
-
-(* Group-commit gate: the scaled update scenario with sequencer batching
-   on (batch_max = 8) must allocate at most 480k minor words per
-   completed op, and must average strictly under one durable commit per
-   op (~0.5 today; 1.0 would mean group commit stopped grouping). The
-   480k ceiling is 0.7x the ~687k the unbatched build allocated while
-   clients polled busy servers every 5 ms. With the locate back-off the
-   unbatched build measures ~334k and the batched one ~66k, so the word
-   ceiling no longer tells the two apart; the commit ceiling still
-   does. The seed-fixed run makes both numbers exact for a given
-   build. *)
-
-let alloc_gate () =
-  let params = { Dirsvc.Params.default with batch_max = 8 } in
-  Gc.full_major ();
-  let minor0 = Gc.minor_words () in
-  let cluster = C.create ~seed:5001L ~params ~servers:5 C.Group_disk in
-  let point =
-    Workload.Throughput.append_deletes cluster ~clients:50 ~window:2_000.0
-  in
-  let minor = Gc.minor_words () -. minor0 in
-  let ops = point.Workload.Throughput.total_ops in
-  let commits = Sim.Metrics.count (C.metrics cluster) "dirsvc.commit" in
-  let mw_op = minor /. float_of_int ops in
-  let c_op = float_of_int commits /. float_of_int ops in
-  let ok = mw_op <= 480_000.0 && c_op < 1.0 in
-  Printf.printf
-    "alloc gate: batched scaled run  %d ops  %.0f minor words/op (ceiling \
-     480000)  %.3f commits/op (ceiling < 1.0) %s\n"
-    ops mw_op c_op
-    (if ok then "ok" else "FAIL");
-  if not ok then begin
-    Printf.eprintf
-      "check_speed: batched group commit is not paying for itself — \
-       either the per-op allocation regressed past 480k minor words or \
-       durable commits are back to one per update.\n";
-    exit 1
-  end
-
-(* Locate-storm gate: 50 closed-loop append+delete callers on 5
-   replicas keep every server thread busy, and a busy Amoeba server
-   answers a Locate with silence. Clients that re-multicast on a fixed
-   short period then spend nearly all packets on locates that find
-   nobody. With the pause doubling per empty round this run measures
-   ~272 packets per completed op; the fixed 5 ms pause measured ~453.
-   The ceiling sits between the two. The run is seed-fixed, so the
-   ratio is exact for a given build. *)
-
-let storm_ceiling = 360.0
-
-let storm_gate () =
-  let cluster = C.create ~seed:5050L ~servers:5 C.Group_disk in
-  let point = Workload.Throughput.append_deletes cluster ~clients:50 in
-  let ops = point.Workload.Throughput.total_ops in
-  let packets = Sim.Metrics.count (C.metrics cluster) "net.pkt" in
-  let per_op = float_of_int packets /. float_of_int ops in
-  let ok = per_op <= storm_ceiling in
-  Printf.printf
-    "storm gate: 50 callers on 5 replicas  %d ops  %.1f packets/op \
-     (ceiling %.0f) %s\n"
-    ops per_op storm_ceiling
-    (if ok then "ok" else "FAIL");
-  if not ok then begin
-    Printf.eprintf
-      "check_speed: saturated callers sent %.1f packets per completed op \
-       (ceiling %.0f).\n\
-       Clients are polling busy servers with Locate multicasts again — \
-       check the empty-round back-off in Rpc.Transport.ensure_located.\n"
-      per_op storm_ceiling;
-    exit 1
-  end
-
-(* Shard-scaling gate: splitting the namespace over four sequencer
-   groups must actually buy ordering parallelism — the shard workload on
-   a 4-shard deployment (3 servers each) must complete at least 2x the
-   client iterations of the single 12-server group in the same window.
-   Each run is seed-fixed, so the ratio is exact for a given build. *)
-
-let shard_gate () =
-  let run shards =
-    let params = { Dirsvc.Params.default with shards } in
-    let cluster =
-      C.create ~seed:4242L ~params ~servers:(12 / shards) C.Group_disk
-    in
-    let point =
-      Workload.Throughput.shard_updates cluster ~clients:16 ~window:1_000.0
-    in
-    point.Workload.Throughput.total_ops
-  in
-  let ops1 = run 1 in
-  let ops4 = run 4 in
-  let ratio = float_of_int ops4 /. float_of_int ops1 in
-  let ok = ratio >= 2.0 in
-  Printf.printf
-    "shard gate: shards=1 %d ops  shards=4 %d ops  speedup %.2fx  (floor \
-     2.00x) %s\n"
-    ops1 ops4 ratio
-    (if ok then "ok" else "FAIL");
-  if not ok then begin
-    Printf.eprintf
-      "check_speed: four shards delivered %.2fx the single-group update \
-       throughput (must be >= 2x).\n\
-       The partition is not spreading ordering load — check the shard \
-       router's placement hashing and the per-shard sequencers.\n"
-      ratio;
-    exit 1
   end
 
 let () =
-  let failed = ref [] in
-  List.iter
-    (fun (name, ceiling, run) ->
-      let cluster = run () in
-      let events = Sim.Engine.events_executed (C.engine cluster) in
-      let packets = Sim.Metrics.count (C.metrics cluster) "net.pkt" in
-      let ratio = float_of_int events /. float_of_int packets in
-      let ok = ratio <= ceiling in
-      Printf.printf "%-20s %8d events %7d packets  %5.2f events/packet  (ceiling %4.1f) %s\n"
-        name events packets ratio ceiling
-        (if ok then "ok" else "FAIL");
-      if not ok then failed := name :: !failed)
-    scenarios;
-  (match !failed with
-  | [] -> ()
-  | names ->
-      Printf.eprintf
-        "check_speed: events-per-packet ceiling exceeded in: %s\n\
-         Something is scheduling engine events that do no useful work — \
-         see DESIGN.md on timers and event-count engineering.\n"
-        (String.concat ", " (List.rev names));
-      exit 1);
+  events_gate ();
   alloc_gate ();
   storm_gate ();
   shard_gate ();

@@ -1,7 +1,10 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§4), the §3.1 message/disk cost analysis, and the design
-   ablations called out in DESIGN.md — plus Bechamel microbenchmarks of
-   the hot code paths (one Test.make per table/figure).
+   evaluation (§4), the §3.1 message/disk cost analysis, the design
+   ablations called out in DESIGN.md, the throughput-vs-shards sweep,
+   the simulator's own wall-clock speed, and Bechamel microbenchmarks
+   of the hot code paths (one Test.make per table/figure). The
+   deployments shared with check_speed.exe and the column specs that
+   render each result as text and JSON live in spec.ml.
 
    Run everything:        dune exec bench/main.exe
    One experiment:        dune exec bench/main.exe -- fig7
@@ -15,9 +18,9 @@
    Multi-seed sweeps:     dune exec bench/main.exe -- fig7 --seeds 5
                           (rerun each figure across 5 derived seeds and
                           report mean ± 95% CI)
-   Available experiments: fig7 fig8 fig9 costs ablation-r ablation-size
-                          ablation-disk ablation-method mix availability
-                          micro *)
+   Smoke sizes:           dune exec bench/main.exe -- speed shards --quick
+   Available experiments: the [experiments] table at the bottom; an
+                          unknown name prints it, one line each. *)
 
 module C = Dirsvc.Cluster
 module J = Sim.Json
@@ -63,38 +66,33 @@ let jobs_level = ref 1
 
 let seed_count = ref 1
 
-let the_pool : Sim.Pool.t option ref = ref None
+let quick = ref false
 
-let pool () =
-  match !the_pool with
-  | Some p -> p
-  | None ->
-      let p = Sim.Pool.create ~jobs:!jobs_level in
-      the_pool := Some p;
-      p
+(* Created on first use, after --jobs is parsed, by the main domain
+   (worker domains only ever see it forced). *)
+let pool = lazy (Sim.Pool.create ~jobs:!jobs_level)
 
-let psubmit f = Sim.Pool.submit (pool ()) f
+let psubmit f = Sim.Pool.submit (Lazy.force pool) f
 
-let pmap f items = Sim.Pool.map (pool ()) f items
+let pmap f items = Sim.Pool.map (Lazy.force pool) f items
 
-(* Derived per-rerun seeds for [--seeds K]; [] when the mode is off. *)
-let variance_seeds ~base =
-  if !seed_count <= 1 then []
-  else Workload.Scenarios.derive_seeds ~base !seed_count
+(* Tasks that print run [captured] on the pool; [replay] joins one,
+   printing its output. [captured_map] is [pmap] for tasks that print:
+   outputs replay in submission order. *)
+let submit_captured f = psubmit (fun () -> captured f)
 
-let ci_cell (s : Workload.Stats.summary) =
-  Printf.sprintf "%.1f ± %.1f" s.mean s.ci95
+let replay fut =
+  let out, value = Sim.Pool.await fut in
+  print_string out;
+  value
 
-let ci_to_json (s : Workload.Stats.summary) =
-  J.Obj
-    [
-      ("n", J.Int s.n);
-      ("mean", J.Float s.mean);
-      ("stddev", J.Float s.stddev);
-      ("ci95", J.Float s.ci95);
-    ]
+let captured_map f items =
+  List.map replay (List.map (fun x -> submit_captured (fun () -> f x)) items)
 
-let stats_mean samples = (Workload.Stats.summarise samples).Workload.Stats.mean
+let mean = Workload.Stats.mean
+
+(* How far [key] moved in a [Sim.Metrics.delta]; 0 if it did not. *)
+let moved delta key = Option.value (List.assoc_opt key delta) ~default:0
 
 (* Latency-histogram summaries (p50/p90/p95/p99 straight from the bucket
    counts) recorded by a cluster's servers during a run, keyed by the
@@ -105,308 +103,256 @@ let histogram_summaries metrics =
        (fun (key, h) -> (key, Sim.Metrics.Histogram.summary_to_json h))
        (Sim.Metrics.histograms metrics))
 
-let series_to_json series =
-  J.List
-    (List.map
-       (fun (clients, per_second) ->
-         J.Obj
-           [ ("clients", J.Int clients); ("per_second", J.Float per_second) ])
-       series)
-
-let flavors =
-  [
-    (C.Group_disk, "Group (3)");
-    (C.Rpc_pair, "RPC (2)");
-    (C.Nfs_single, "Sun NFS (1)");
-    (C.Group_nvram, "Group+NVRAM (3)");
-  ]
-
 (* ---- Fig. 7: single-client latency table -------------------------- *)
 
-let fig7_seed = 7L
+(* A JSON key from a display name: dashes and spaces become underscores. *)
+let underscored = String.map (function '-' | ' ' -> '_' | c -> c)
+
+type fig7_scenario = {
+  label : string;
+  header : string; (* of the --seeds table; underscored, the JSON key *)
+  paper : string; (* Group / RPC / NFS / NVRAM ms *)
+  pick : Workload.Scenarios.fig7 -> Workload.Stats.summary;
+}
+
+let fig7_scenarios =
+  Workload.Scenarios.
+    [
+      {
+        label = "Append-delete";
+        header = "append-delete";
+        paper = "184/192/87/27";
+        pick = (fun f -> f.append_delete_ms);
+      };
+      {
+        label = "Tmp file";
+        header = "tmp file";
+        paper = "215/277/111/52";
+        pick = (fun f -> f.tmp_file_ms);
+      };
+      {
+        label = "Directory lookup";
+        header = "lookup";
+        paper = "5/5/6/5";
+        pick = (fun f -> f.lookup_ms);
+      };
+    ]
+
+let ci_cell (s : Workload.Stats.summary) =
+  Printf.sprintf "%.1f ± %.1f" s.mean s.ci95
+
+let ci_json (s : Workload.Stats.summary) =
+  J.Obj
+    [
+      ("n", J.Int s.n);
+      ("mean", J.Float s.mean);
+      ("stddev", J.Float s.stddev);
+      ("ci95", J.Float s.ci95);
+    ]
+
+(* [--seeds K]: rerun a figure once per seed derived from [base] and
+   summarise each cell across the reruns as mean ± 95% CI, printed as a
+   table of [header] with one row per label. [submit seed] starts a
+   rerun and returns its join: one list of cells per label. The JSON
+   record maps each label to its summary, or with several cells to an
+   object of them keyed by header. *)
+let seed_variance ~base ~title ~header labels submit =
+  if !seed_count <= 1 then []
+  else
+    let seeds = Workload.Scenarios.derive_seeds ~base !seed_count in
+    let runs = List.map (fun join -> join ()) (List.map submit seeds) in
+    let cells =
+      List.mapi
+        (fun i label ->
+          ( label,
+            List.mapi
+              (fun j _ ->
+                Workload.Stats.summarise
+                  (List.map (fun run -> List.nth (List.nth run i) j) runs))
+              (List.tl header) ))
+        labels
+    in
+    printf title (List.length seeds);
+    let row =
+      match List.tl header with
+      | [ _ ] -> List.hd
+      | hs -> fun cis -> J.Obj (List.combine (List.map underscored hs) cis)
+    in
+    print_string
+      (Workload.Tables.render ~header
+         (List.map (fun (label, ss) -> label :: List.map ci_cell ss) cells));
+    [
+      ( "seed_variance",
+        J.Obj
+          (List.map
+             (fun (label, ss) -> (label, row (List.map ci_json ss)))
+             cells) );
+    ]
 
 (* Per-flavor runs are independent deployments: fan them out. *)
-let fig7_run ~seed (flavor, name) =
-  let cluster = C.create ~seed flavor in
-  let fig = Workload.Scenarios.run_fig7 ~repeats:12 cluster in
-  (name, fig, C.metrics cluster)
-
-(* [--seeds K]: rerun the whole figure once per derived seed and report
-   mean ± 95% CI of each cell across the runs. *)
-let fig7_variance () =
-  match variance_seeds ~base:fig7_seed with
-  | [] -> None
-  | seeds ->
-      let grid =
-        List.concat_map (fun seed -> List.map (fun fl -> (seed, fl)) flavors) seeds
-      in
-      let runs = pmap (fun (seed, fl) -> fig7_run ~seed fl) grid in
-      let cells =
-        List.map
-          (fun (_, name) ->
-            let figs =
-              List.filter_map
-                (fun (n, fig, _) -> if n = name then Some fig else None)
-                runs
-            in
-            let scenario label pick =
-              ( label,
-                Workload.Stats.summarise
-                  (List.map
-                     (fun f -> (pick f).Workload.Stats.mean)
-                     figs) )
-            in
-            ( name,
-              [
-                scenario "append_delete" (fun f ->
-                    f.Workload.Scenarios.append_delete_ms);
-                scenario "tmp_file" (fun f -> f.Workload.Scenarios.tmp_file_ms);
-                scenario "lookup" (fun f -> f.Workload.Scenarios.lookup_ms);
-              ] ))
-          flavors
-      in
-      printf "\nseed variance across %d derived seeds (mean ± 95%% CI, ms):\n"
-        (List.length seeds);
-      print_string
-        (Workload.Tables.render
-           ~header:[ "service"; "append-delete"; "tmp file"; "lookup" ]
-           (List.map
-              (fun (name, scenarios) ->
-                name :: List.map (fun (_, s) -> ci_cell s) scenarios)
-              cells));
-      Some
-        (J.Obj
-           (List.map
-              (fun (name, scenarios) ->
-                ( name,
-                  J.Obj
-                    (List.map (fun (label, s) -> (label, ci_to_json s)) scenarios)
-                ))
-              cells))
+let fig7_run ~seed flavor =
+  let r = Spec.run ~quick:false (Spec.fig7_point ~seed flavor) in
+  (Option.get r.latencies, C.metrics r.cluster)
 
 let fig7 () =
   printf "== Fig. 7: single-client latency (simulated msec) ==\n\n";
-  let measured = pmap (fig7_run ~seed:fig7_seed) flavors in
-  let row op paper pick =
-    let cells =
-      List.map
-        (fun (_, fig, _) -> Printf.sprintf "%.0f" (pick fig).Workload.Stats.mean)
-        measured
-    in
-    ([ op ] @ cells) @ [ paper ]
-  in
-  let rows =
-    [
-      row "Append-delete" "184/192/87/27" (fun f ->
-          f.Workload.Scenarios.append_delete_ms);
-      row "Tmp file" "215/277/111/52" (fun f -> f.Workload.Scenarios.tmp_file_ms);
-      row "Directory lookup" "5/5/6/5" (fun f -> f.Workload.Scenarios.lookup_ms);
-    ]
-  in
+  let measured = pmap (fig7_run ~seed:Spec.fig7_seed) Spec.flavors in
   print_string
     (Workload.Tables.render
-       ~header:([ "Operation" ] @ List.map snd flavors @ [ "paper (G/R/N/V)" ])
-       rows);
-  let base =
-    [
-      ( "flavors",
-        J.List
-          (List.map
-             (fun (name, fig, metrics) ->
-               J.Obj
-                 [
-                   ("service", J.String name);
-                   ( "client_latency_ms",
-                     J.Obj
-                       [
-                         ( "append_delete",
-                           Workload.Stats.summary_to_json
-                             fig.Workload.Scenarios.append_delete_ms );
-                         ( "tmp_file",
-                           Workload.Stats.summary_to_json
-                             fig.Workload.Scenarios.tmp_file_ms );
-                         ( "lookup",
-                           Workload.Stats.summary_to_json
-                             fig.Workload.Scenarios.lookup_ms );
-                       ] );
-                   (* Per-server latency histograms recorded inside the
-                      servers themselves, e.g. "dirsvc.op_ms{op=append_row,
-                      server=2}". *)
-                   ("server_latency_ms", histogram_summaries metrics);
-                 ])
-             measured) );
-    ]
+       ~header:
+         (("Operation" :: List.map snd Spec.flavors) @ [ "paper (G/R/N/V)" ])
+       (List.map
+          (fun s ->
+            (s.label
+            :: List.map
+                 (fun (fig, _) ->
+                   Printf.sprintf "%.0f" (s.pick fig).Workload.Stats.mean)
+                 measured)
+            @ [ s.paper ])
+          fig7_scenarios));
+  let flavor (_, name) (fig, metrics) =
+    J.Obj
+      [
+        ("service", J.String name);
+        ( "client_latency_ms",
+          J.Obj
+            (List.map
+               (fun s ->
+                 ( underscored s.header,
+                   Workload.Stats.summary_to_json (s.pick fig) ))
+               fig7_scenarios) );
+        (* Per-server latency histograms recorded inside the servers
+           themselves, e.g. "dirsvc.op_ms{op=append_row,server=2}". *)
+        ("server_latency_ms", histogram_summaries metrics);
+      ]
   in
-  match fig7_variance () with
-  | None -> J.Obj base
-  | Some v -> J.Obj (base @ [ ("seed_variance", v) ])
+  let variance =
+    seed_variance ~base:Spec.fig7_seed
+      ~title:"\nseed variance across %d derived seeds (mean ± 95%% CI, ms):\n"
+      ~header:("service" :: List.map (fun s -> s.header) fig7_scenarios)
+      (List.map snd Spec.flavors)
+      (fun seed ->
+        let futures =
+          List.map
+            (fun fl -> psubmit (fun () -> fig7_run ~seed fl))
+            Spec.flavors
+        in
+        fun () ->
+          List.map
+            (fun fut ->
+              let fig, _ = Sim.Pool.await fut in
+              List.map
+                (fun s -> (s.pick fig).Workload.Stats.mean)
+                fig7_scenarios)
+            futures)
+  in
+  J.Obj
+    (("flavors", J.List (List.map2 flavor Spec.flavors measured)) :: variance)
 
-(* ---- Fig. 8: lookup throughput vs clients ------------------------- *)
+(* ---- Figs. 8 and 9: throughput vs clients ------------------------- *)
 
-(* Like the paper, each point averages several independent runs; the
-   port-cache assignment makes single runs noisy. *)
-let sweep_clients = [ 1; 2; 3; 4; 5; 6; 7 ]
-
-let replicate_seeds seed = [ seed; Int64.add seed 37L; Int64.add seed 71L ]
-
-(* The three per-flavor sweeps of Figs. 8 and 9, as one grid of
-   independent (flavor, clients, seed) runs fanned out over the pool.
-   Submission happens up front; the returned join re-assembles the
-   per-flavor series in submission order, so the series — and every
-   table printed from them — are identical at any --jobs level. *)
-let grid_submit ~flavor_offsets ~base measure =
+(* The three per-flavor sweeps of a figure, as one grid of independent
+   (flavor, clients, seed) runs fanned out over the pool. Submission
+   happens up front; the returned join re-assembles the per-flavor
+   series in submission order, so the series — and every table printed
+   from them — are identical at any --jobs level. *)
+let grid_submit sw ~base =
   let futures =
     List.map
-      (fun (flavor, off) ->
-        List.map
-          (fun clients ->
-            List.map
-              (fun seed ->
-                psubmit (fun () ->
-                    let cluster = C.create ~seed flavor in
-                    (measure cluster ~clients).Workload.Throughput.per_second))
-              (replicate_seeds (Int64.add base off)))
-          sweep_clients)
-      flavor_offsets
+      (List.map
+         (List.map (fun s ->
+              psubmit (fun () ->
+                  (Spec.run ~quick:false s).point
+                    .Workload.Throughput.per_second))))
+      (Spec.sweep_grid sw ~base ~points:Spec.sweep_clients)
   in
   fun () ->
     List.map
       (fun per_flavor ->
         List.map2
-          (fun clients futs ->
-            (clients, Workload.Stats.mean (List.map Sim.Pool.await futs)))
-          sweep_clients per_flavor)
+          (fun clients futs -> (clients, mean (List.map Sim.Pool.await futs)))
+          Spec.sweep_clients per_flavor)
       futures
-
-let print_series label series =
-  print_string
-    (Workload.Tables.series ~title:label ~x_label:"clients" ~y_label:"ops/s"
-       series);
-  printf "\n"
 
 let saturation series = List.fold_left (fun acc (_, v) -> max acc v) 0.0 series
 
-(* [--seeds K] for the throughput figures: rerun the whole grid once per
-   derived base seed and summarise each flavor's saturation across the
-   reruns. Returns the (label, json) pair to append, printing a table. *)
-let sweep_variance ~flavor_offsets ~base ~labels measure =
-  match variance_seeds ~base with
-  | [] -> None
-  | bases ->
-      let joins =
-        List.map (fun b -> grid_submit ~flavor_offsets ~base:b measure) bases
-      in
-      let per_run = List.map (fun join -> List.map saturation (join ())) joins in
-      let cells =
-        List.mapi
-          (fun i label ->
-            (label, Workload.Stats.summarise (List.map (fun run -> List.nth run i) per_run)))
-          labels
-      in
-      printf "seed variance of saturation across %d derived seeds (mean ± 95%% CI):\n"
-        (List.length bases);
+(* Figs. 8 and 9 differ only in title, sweep and the paper's numbers:
+   [paper] prints those against the measured saturations; [extra] is
+   JSON placed before the saturation record. *)
+let sweep_figure ~title ?(extra = []) sw ~paper =
+  printf "\n== %s ==\n\n" title;
+  let series = grid_submit sw ~base:sw.Spec.base () in
+  List.iter2
+    (fun (_, _, _, label) s ->
       print_string
-        (Workload.Tables.render
-           ~header:[ "series"; "saturation ops/s" ]
-           (List.map (fun (label, s) -> [ label; ci_cell s ]) cells));
-      Some
-        ( "seed_variance",
-          J.Obj (List.map (fun (label, s) -> (label, ci_to_json s)) cells) )
-
-let fig8_flavor_offsets =
-  [ (C.Group_disk, 1L); (C.Group_nvram, 2L); (C.Rpc_pair, 3L) ]
+        (Workload.Tables.series ~title:label ~x_label:"clients"
+           ~y_label:"ops/s" s);
+      printf "\n")
+    Spec.sweep_flavors series;
+  let sats = List.map saturation series in
+  (match sats with
+  | [ group; nvram; rpc ] -> paper ~group ~nvram ~rpc
+  | _ -> assert false);
+  let variance =
+    seed_variance ~base:sw.Spec.base
+      ~title:
+        "seed variance of saturation across %d derived seeds (mean ± 95%% \
+         CI):\n"
+      ~header:[ "series"; "saturation ops/s" ]
+      (List.map (fun (_, _, key, _) -> key) Spec.sweep_flavors)
+      (fun base ->
+        let join = grid_submit sw ~base in
+        fun () -> List.map (fun series -> [ saturation series ]) (join ()))
+  in
+  let keyed f xs =
+    List.map2 (fun (_, _, key, _) x -> (key, f x)) Spec.sweep_flavors xs
+  in
+  J.Obj
+    (keyed
+       (Spec.to_json
+          [
+            Spec.json_col "clients" (fun (clients, _) -> J.Int clients);
+            Spec.json_col "per_second" (fun (_, ps) -> J.Float ps);
+          ])
+       series
+    @ extra
+    @ [ ("saturation", J.Obj (keyed (fun s -> J.Float s) sats)) ]
+    @ variance)
 
 let fig8 () =
-  printf "\n== Fig. 8: lookup throughput vs number of clients ==\n\n";
-  let measure cluster ~clients = Workload.Throughput.lookups cluster ~clients in
-  let join = grid_submit ~flavor_offsets:fig8_flavor_offsets ~base:800L measure in
-  let group, nvram, rpc =
-    match join () with [ g; n; r ] -> (g, n, r) | _ -> assert false
+  let bound servers =
+    Workload.Bounds.read_bound Dirsvc.Params.default ~servers
   in
-  print_series "Group service" group;
-  print_series "Group service + NVRAM" nvram;
-  print_series "RPC service" rpc;
-  let params = Dirsvc.Params.default in
-  printf "analytic upper bounds (paper: 1000 group / 666 RPC):\n";
-  printf "  group: %.0f lookups/s   rpc: %.0f lookups/s\n"
-    (Workload.Bounds.read_bound params ~servers:3)
-    (Workload.Bounds.read_bound params ~servers:2);
-  printf "measured saturation (paper: 652 group, 520 RPC):\n";
-  printf "  group: %.0f   group+nvram: %.0f   rpc: %.0f\n" (saturation group)
-    (saturation nvram) (saturation rpc);
-  let variance =
-    sweep_variance ~flavor_offsets:fig8_flavor_offsets ~base:800L
-      ~labels:[ "group"; "group_nvram"; "rpc" ] measure
-  in
-  J.Obj
-    ([
-       ("group", series_to_json group);
-       ("group_nvram", series_to_json nvram);
-       ("rpc", series_to_json rpc);
-       ( "analytic_bound",
-         J.Obj
-           [
-             ("group", J.Float (Workload.Bounds.read_bound params ~servers:3));
-             ("rpc", J.Float (Workload.Bounds.read_bound params ~servers:2));
-           ] );
-       ( "saturation",
-         J.Obj
-           [
-             ("group", J.Float (saturation group));
-             ("group_nvram", J.Float (saturation nvram));
-             ("rpc", J.Float (saturation rpc));
-           ] );
-     ]
-    @ Option.to_list variance)
-
-(* ---- Fig. 9: append-delete throughput vs clients ------------------ *)
+  sweep_figure ~title:"Fig. 8: lookup throughput vs number of clients"
+    ~extra:
+      [
+        ( "analytic_bound",
+          J.Obj [ ("group", J.Float (bound 3)); ("rpc", J.Float (bound 2)) ] );
+      ]
+    Spec.fig8_sweep
+    ~paper:(fun ~group ~nvram ~rpc ->
+      printf "analytic upper bounds (paper: 1000 group / 666 RPC):\n";
+      printf "  group: %.0f lookups/s   rpc: %.0f lookups/s\n" (bound 3)
+        (bound 2);
+      printf "measured saturation (paper: 652 group, 520 RPC):\n";
+      printf "  group: %.0f   group+nvram: %.0f   rpc: %.0f\n" group nvram rpc)
 
 let fig9 () =
-  printf "\n== Fig. 9: append-delete pairs/s vs number of clients ==\n\n";
-  let measure cluster ~clients =
-    Workload.Throughput.append_deletes cluster ~clients
-  in
-  let join = grid_submit ~flavor_offsets:fig8_flavor_offsets ~base:900L measure in
-  let group, nvram, rpc =
-    match join () with [ g; n; r ] -> (g, n, r) | _ -> assert false
-  in
-  print_series "Group service" group;
-  print_series "Group service + NVRAM" nvram;
-  print_series "RPC service" rpc;
-  printf "paper's saturation: 5 group / 5 RPC / 45 NVRAM pairs/s\n";
-  printf "measured saturation: group %.1f, rpc %.1f, nvram %.1f\n"
-    (saturation group) (saturation rpc) (saturation nvram);
-  printf
-    "(append and delete are both writes, so write throughput is twice these)\n";
-  let variance =
-    sweep_variance ~flavor_offsets:fig8_flavor_offsets ~base:900L
-      ~labels:[ "group"; "group_nvram"; "rpc" ] measure
-  in
-  J.Obj
-    ([
-       ("group", series_to_json group);
-       ("group_nvram", series_to_json nvram);
-       ("rpc", series_to_json rpc);
-       ( "saturation",
-         J.Obj
-           [
-             ("group", J.Float (saturation group));
-             ("group_nvram", J.Float (saturation nvram));
-             ("rpc", J.Float (saturation rpc));
-           ] );
-     ]
-    @ Option.to_list variance)
+  sweep_figure ~title:"Fig. 9: append-delete pairs/s vs number of clients"
+    Spec.fig9_sweep ~paper:(fun ~group ~nvram ~rpc ->
+      printf "paper's saturation: 5 group / 5 RPC / 45 NVRAM pairs/s\n";
+      printf "measured saturation: group %.1f, rpc %.1f, nvram %.1f\n" group
+        rpc nvram;
+      printf
+        "(append and delete are both writes, so write throughput is twice \
+         these)\n")
 
 (* ---- §3.1 cost analysis: messages and disk ops per update ---------- *)
 
 let costs () =
   printf "\n== Cost analysis per update (paper §3.1) ==\n\n";
-  let one_update flavor name =
+  let one_update (flavor, name) =
     let cluster = C.create ~seed:19L flavor in
-    (match flavor with
-    | C.Group_disk | C.Group_nvram ->
-        ignore (C.await_serving cluster ~count:(C.n_servers cluster))
-    | C.Rpc_pair | C.Nfs_single -> C.run_until cluster 100.0);
     (* The paper's 5-message count is for an initiator that is not the
        sequencer (the common case); steer the measurement client to a
        server other than node 1, the group creator. *)
@@ -415,14 +361,11 @@ let costs () =
       if tries = 0 then client
       else begin
         let node = Rpc.Transport.node (Dirsvc.Client.transport client) in
-        let probed = ref false in
         Sim.Proc.boot (C.engine cluster) node (fun () ->
-            (try ignore (Dirsvc.Client.list_dir client
-                           (Capability.owner ~port:"dirsvc" ~obj:0 0L))
-             with _ -> ());
-            probed := true);
+            try ignore (Dirsvc.Client.list_dir client
+                          (Capability.owner ~port:"dirsvc" ~obj:0 0L))
+            with _ -> ());
         C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 200.0);
-        ignore !probed;
         match
           Rpc.Transport.cached_servers
             (Dirsvc.Client.transport client)
@@ -434,266 +377,212 @@ let costs () =
     in
     let client =
       match flavor with
-      | C.Group_disk | C.Group_nvram -> non_sequencer_client 10
-      | C.Rpc_pair | C.Nfs_single -> C.client cluster
+      | C.Group_disk | C.Group_nvram ->
+          ignore (C.await_serving cluster ~count:(C.n_servers cluster));
+          non_sequencer_client 10
+      | C.Rpc_pair | C.Nfs_single ->
+          C.run_until cluster 100.0;
+          C.client cluster
     in
     let node = Rpc.Transport.node (Dirsvc.Client.transport client) in
     let counters = ref [] in
-    let disk_writes () =
-      List.init (C.n_servers cluster) (fun i ->
-          Storage.Block_device.writes_completed (C.device cluster (i + 1)))
-      |> List.fold_left ( + ) 0
+    (* The metric counters plus disk writes summed over the replicas. *)
+    let snapshot () =
+      let writes i =
+        Storage.Block_device.writes_completed (C.device cluster (i + 1))
+      in
+      let total =
+        List.fold_left ( + ) 0 (List.init (C.n_servers cluster) writes)
+      in
+      ("disk.writes", total) :: Sim.Metrics.counters (C.metrics cluster)
     in
     Sim.Proc.boot (C.engine cluster) node (fun () ->
         let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
         Dirsvc.Client.append_row client cap ~name:"warm" [ cap ];
         Sim.Proc.sleep 100.0;
-        let before = Sim.Metrics.counters (C.metrics cluster) in
-        let writes_before = disk_writes () in
+        let before = snapshot () in
         Dirsvc.Client.append_row client cap ~name:"counted" [ cap ];
         Sim.Proc.sleep 100.0;
-        let after = Sim.Metrics.counters (C.metrics cluster) in
-        let writes_after = disk_writes () in
-        counters :=
-          ("disk.delta", writes_after - writes_before)
-          :: Sim.Metrics.delta ~before ~after);
+        counters := Sim.Metrics.delta ~before ~after:(snapshot ()));
     C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 10_000.0);
-    let get key =
-      match List.assoc_opt key !counters with Some v -> v | None -> 0
+    let get = moved !counters in
+    let messages =
+      List.map
+        (fun kind -> (kind, get ("grp." ^ kind)))
+        [ "req"; "data"; "ack"; "done" ]
     in
+    let total = List.fold_left (fun acc (_, n) -> acc + n) 0 messages in
     printf "%s:\n" name;
-    printf "  group messages: req=%d data=%d ack=%d done=%d (total %d)\n"
-      (get "grp.req") (get "grp.data") (get "grp.ack") (get "grp.done")
-      (get "grp.req" + get "grp.data" + get "grp.ack" + get "grp.done");
+    printf "  group messages: %s (total %d)\n"
+      (String.concat " "
+         (List.map (fun (kind, n) -> Printf.sprintf "%s=%d" kind n) messages))
+      total;
     printf "  total wire packets: %d\n" (get "net.pkt");
-    printf "  disk writes across replicas: %d\n\n" (get "disk.delta");
+    printf "  disk writes across replicas: %d\n\n" (get "disk.writes");
     J.Obj
       [
         ("service", J.String name);
         ( "group_messages",
           J.Obj
-            [
-              ("req", J.Int (get "grp.req"));
-              ("data", J.Int (get "grp.data"));
-              ("ack", J.Int (get "grp.ack"));
-              ("done", J.Int (get "grp.done"));
-              ( "total",
-                J.Int
-                  (get "grp.req" + get "grp.data" + get "grp.ack"
-                 + get "grp.done") );
-            ] );
+            (List.map (fun (kind, n) -> (kind, J.Int n)) messages
+            @ [ ("total", J.Int total) ]) );
         ("wire_packets", J.Int (get "net.pkt"));
-        ("disk_writes", J.Int (get "disk.delta"));
+        ("disk_writes", J.Int (get "disk.writes"));
       ]
   in
-  (* The four measurements print as they go, so each runs captured on
-     the pool and the outputs replay in submission order. *)
-  let futures =
-    List.map
-      (fun (flavor, label) ->
-        psubmit (fun () -> captured (fun () -> one_update flavor label)))
-      [
-        ( C.Group_disk,
-          "Group service (paper: 5 messages, 2 disk ops at each replica)" );
-        ( C.Group_nvram,
-          "Group service + NVRAM (paper: no disk ops in the critical path)" );
-        (C.Rpc_pair, "RPC service (paper: 2 RPCs of 3 messages, 3 disk ops)");
-        (C.Nfs_single, "Sun NFS (1 RPC, 1 disk op)");
-      ]
+  let services =
+    [
+      ( C.Group_disk,
+        "Group service (paper: 5 messages, 2 disk ops at each replica)" );
+      ( C.Group_nvram,
+        "Group service + NVRAM (paper: no disk ops in the critical path)" );
+      (C.Rpc_pair, "RPC service (paper: 2 RPCs of 3 messages, 3 disk ops)");
+      (C.Nfs_single, "Sun NFS (1 RPC, 1 disk op)");
+    ]
   in
-  J.List
-    (List.map
-       (fun fut ->
-         let out, value = Sim.Pool.await fut in
-         print_string out;
-         value)
-       futures)
+  J.List (captured_map one_update services)
 
 (* ---- Ablations ----------------------------------------------------- *)
+
+(* A bare three-member group on its own engine and network: member 1
+   creates it, members 2 and 3 join 2 and 3 ms later. At 30 ms [body]
+   runs on member 2's node; the engine then runs to 2 s and the body's
+   result is returned. *)
+let with_group ~seed ?metrics config body =
+  let engine = Sim.Engine.create ~seed () in
+  let net = Simnet.Network.create engine ?metrics () in
+  let members = Hashtbl.create 3 in
+  let nodes = List.map (fun id -> Sim.Node.create ~id) [ 1; 2; 3 ] in
+  List.iter
+    (fun node ->
+      let id = Sim.Node.id node in
+      let nic = Simnet.Network.attach net node in
+      Sim.Proc.boot engine node (fun () ->
+          let m =
+            if id = 1 then
+              Group.Member.create_group ?metrics ~config net nic ~gname:"g"
+            else begin
+              Sim.Proc.sleep (float_of_int id);
+              Group.Member.join_group ?metrics ~config net nic ~gname:"g"
+            end
+          in
+          Hashtbl.replace members id m))
+    nodes;
+  let result = ref None in
+  Sim.Engine.schedule engine ~delay:30.0 (fun () ->
+      Sim.Proc.boot engine (List.nth nodes 1) (fun () ->
+          result := Some (body (Hashtbl.find members 2))));
+  Sim.Engine.run ~until:2_000.0 engine;
+  Option.get !result
+
+(* How long each of [n] back-to-back sends blocks, newest first. *)
+let send_latencies m n payload =
+  let samples = ref [] in
+  for _ = 1 to n do
+    let t0 = Sim.Proc.now () in
+    Group.Member.send m payload;
+    samples := (Sim.Proc.now () -. t0) :: !samples
+  done;
+  !samples
 
 (* Raw SendToGroup latency of a three-member group at resilience r:
    how long the sender blocks before the message is held by r+1
    members. This is where the r trade-off is visible — the dir service
    buries it under disk time. *)
 let raw_send_latency r =
-  let engine = Sim.Engine.create ~seed:13L () in
-  let net = Simnet.Network.create engine () in
-  let config = { Group.Types.default_config with resilience = r } in
-  let members = Hashtbl.create 3 in
-  let nodes = Hashtbl.create 3 in
-  List.iter
-    (fun id ->
-      let node = Sim.Node.create ~id in
-      Hashtbl.replace nodes id node;
-      let nic = Simnet.Network.attach net node in
-      Sim.Proc.boot engine node (fun () ->
-          let m =
-            if id = 1 then Group.Member.create_group ~config net nic ~gname:"g"
-            else begin
-              Sim.Proc.sleep (float_of_int id);
-              Group.Member.join_group ~config net nic ~gname:"g"
-            end
-          in
-          Hashtbl.replace members id m))
-    [ 1; 2; 3 ];
-  let samples = ref [] in
-  Sim.Engine.schedule engine ~delay:30.0 (fun () ->
-      Sim.Proc.boot engine (Hashtbl.find nodes 2) (fun () ->
-          let m = Hashtbl.find members 2 in
-          for _ = 1 to 30 do
-            let t0 = Sim.Proc.now () in
-            Group.Member.send m (Simnet.Payload.Opaque "x");
-            samples := (Sim.Proc.now () -. t0) :: !samples
-          done));
-  Sim.Engine.run ~until:2_000.0 engine;
-  stats_mean !samples
+  with_group ~seed:13L { Group.Types.default_config with resilience = r }
+    (fun m -> mean (send_latencies m 30 (Simnet.Payload.Opaque "x")))
+
+(* An experiment that is one table: [measure] runs on the pool for each
+   of [items], one row each; [intro] prints above the table and [outro]
+   below it. *)
+let table_experiment ~intro ?(outro = ignore) cols measure items =
+  print_string intro;
+  let rows = pmap measure items in
+  print_string (Spec.render cols rows);
+  outro rows;
+  Spec.to_json cols rows
+
+(* Mean append+delete pair latency (ms) on a fresh deployment. *)
+let pair_ms ~seed ?servers ?params ~repeats flavor =
+  mean
+    (Workload.Scenarios.append_delete ~repeats
+       (C.create ~seed ?servers ?params flavor))
 
 let ablation_r () =
-  printf "\n== Ablation: resilience degree r vs update latency ==\n";
-  printf "(the paper's §1 trade-off: r buys fault tolerance with messages)\n\n";
-  let rs = [ 0; 1; 2 ] in
-  let pair_futures =
-    List.map
-      (fun r ->
-        psubmit (fun () ->
-            let params =
-              { Dirsvc.Params.default with resilience_override = Some r }
-            in
-            let cluster = C.create ~seed:23L ~params C.Group_disk in
-            stats_mean (Workload.Scenarios.append_delete ~repeats:10 cluster)))
-      rs
-  in
-  let raw_futures = List.map (fun r -> psubmit (fun () -> raw_send_latency r)) rs in
-  let measured = List.map2 (fun r fut -> (r, Sim.Pool.await fut)) rs pair_futures in
-  let rows =
-    List.map
-      (fun (r, pair) ->
-        [
-          Printf.sprintf "r = %d" r;
-          Printf.sprintf "%.1f" pair;
-          (match r with
+  table_experiment
+    ~intro:
+      "\n== Ablation: resilience degree r vs update latency ==\n\
+       (the paper's §1 trade-off: r buys fault tolerance with messages)\n\n"
+    ~outro:(fun rows ->
+      printf "\nraw SendToGroup completion latency (no disk in the way):\n";
+      List.iter (fun (r, _, raw) -> printf "  r = %d: %.2f ms\n" r raw) rows;
+      printf
+        "disk time dominates end-to-end latency at any r - the paper's very \
+         point.\n")
+    [
+      Spec.col "resilience" "resilience"
+        (fun (r, _, _) -> Printf.sprintf "r = %d" r)
+        (fun (r, _, _) -> J.Int r);
+      Spec.float_col ~digits:1 "append-delete ms" "append_delete_ms"
+        (fun (_, pair, _) -> pair);
+      Spec.text_col "guarantee" (fun (r, _, _) ->
+          match r with
           | 0 -> "send returns on ordering"
           | 1 -> "survives 1 crash"
           | _ -> "survives 2 crashes (paper default)");
-        ])
-      measured
-  in
-  print_string
-    (Workload.Tables.render
-       ~header:[ "resilience"; "append-delete ms"; "guarantee" ]
-       rows);
-  printf "\nraw SendToGroup completion latency (no disk in the way):\n";
-  let raw =
-    List.map2
-      (fun r fut ->
-        let latency = Sim.Pool.await fut in
-        printf "  r = %d: %.2f ms\n" r latency;
-        (r, latency))
-      rs raw_futures
-  in
-  printf
-    "disk time dominates end-to-end latency at any r - the paper's very point.\n";
-  J.List
-    (List.map
-       (fun (r, pair) ->
-         J.Obj
-           [
-             ("resilience", J.Int r);
-             ("append_delete_ms", J.Float pair);
-             ( "raw_send_ms",
-               match List.assoc_opt r raw with
-               | Some v -> J.Float v
-               | None -> J.Null );
-           ])
-       measured)
+      Spec.json_col "raw_send_ms" (fun (_, _, raw) -> J.Float raw);
+    ]
+    (fun r ->
+      let params =
+        { Dirsvc.Params.default with resilience_override = Some r }
+      in
+      let pair = pair_ms ~seed:23L ~params ~repeats:10 C.Group_disk in
+      (r, pair, raw_send_latency r))
+    [ 0; 1; 2 ]
 
 let ablation_size () =
-  printf "\n== Ablation: group size (3 vs 5 replicas) ==\n";
-  printf "(the paper: the protocol is unchanged for four or more replicas)\n\n";
-  let measured =
-    pmap
-      (fun n ->
-        let cluster = C.create ~seed:29L ~servers:n C.Group_disk in
-        let pair =
-          stats_mean (Workload.Scenarios.append_delete ~repeats:8 cluster)
-        in
-        let look = stats_mean (Workload.Scenarios.lookup ~repeats:20 cluster) in
-        (n, pair, look))
-      [ 3; 5 ]
-  in
-  let rows =
-    List.map
-      (fun (n, pair, look) ->
-        [
-          Printf.sprintf "%d replicas" n;
-          Printf.sprintf "%.1f" pair;
-          Printf.sprintf "%.2f" look;
-        ])
-      measured
-  in
-  print_string
-    (Workload.Tables.render
-       ~header:[ "group size"; "append-delete ms"; "lookup ms" ]
-       rows);
-  J.List
-    (List.map
-       (fun (n, pair, look) ->
-         J.Obj
-           [
-             ("replicas", J.Int n);
-             ("append_delete_ms", J.Float pair);
-             ("lookup_ms", J.Float look);
-           ])
-       measured)
+  table_experiment
+    ~intro:
+      "\n== Ablation: group size (3 vs 5 replicas) ==\n\
+       (the paper: the protocol is unchanged for four or more replicas)\n\n"
+    [
+      Spec.col "group size" "replicas"
+        (fun (n, _, _) -> Printf.sprintf "%d replicas" n)
+        (fun (n, _, _) -> J.Int n);
+      Spec.float_col ~digits:1 "append-delete ms" "append_delete_ms"
+        (fun (_, pair, _) -> pair);
+      Spec.float_col ~digits:2 "lookup ms" "lookup_ms" (fun (_, _, look) ->
+          look);
+    ]
+    (fun n ->
+      let cluster = C.create ~seed:29L ~servers:n C.Group_disk in
+      let pair = mean (Workload.Scenarios.append_delete ~repeats:8 cluster) in
+      (n, pair, mean (Workload.Scenarios.lookup ~repeats:20 cluster)))
+    [ 3; 5 ]
 
 let ablation_disk () =
-  printf "\n== Ablation: disk latency scaling ==\n";
-  printf "(the paper §5: disk operations are the major bottleneck)\n\n";
-  let measured =
-    let futures =
-      List.map
-        (fun scale ->
-          let params =
-            Dirsvc.Params.with_disk_scale Dirsvc.Params.default scale
-          in
-          let run flavor =
-            psubmit (fun () ->
-                let cluster = C.create ~seed:31L ~params flavor in
-                stats_mean (Workload.Scenarios.append_delete ~repeats:8 cluster))
-          in
-          (scale, run C.Group_disk, run C.Group_nvram))
-        [ 0.25; 0.5; 1.0; 2.0 ]
-    in
-    List.map
-      (fun (scale, disk_fut, nvram_fut) ->
-        (scale, Sim.Pool.await disk_fut, Sim.Pool.await nvram_fut))
-      futures
-  in
-  let rows =
-    List.map
-      (fun (scale, disk_pair, nvram_pair) ->
-        [
-          Printf.sprintf "%.2fx disk" scale;
-          Printf.sprintf "%.1f" disk_pair;
-          Printf.sprintf "%.1f" nvram_pair;
-        ])
-      measured
-  in
-  print_string
-    (Workload.Tables.render
-       ~header:[ "disk speed"; "group pair ms"; "nvram pair ms" ]
-       rows);
-  printf "the group service scales with the disk; the NVRAM service does not.\n";
-  J.List
-    (List.map
-       (fun (scale, disk_pair, nvram_pair) ->
-         J.Obj
-           [
-             ("disk_scale", J.Float scale);
-             ("group_pair_ms", J.Float disk_pair);
-             ("nvram_pair_ms", J.Float nvram_pair);
-           ])
-       measured)
+  table_experiment
+    ~intro:
+      "\n== Ablation: disk latency scaling ==\n\
+       (the paper §5: disk operations are the major bottleneck)\n\n"
+    ~outro:(fun _ ->
+      printf
+        "the group service scales with the disk; the NVRAM service does not.\n")
+    [
+      Spec.col "disk speed" "disk_scale"
+        (fun (scale, _, _) -> Printf.sprintf "%.2fx disk" scale)
+        (fun (scale, _, _) -> J.Float scale);
+      Spec.float_col ~digits:1 "group pair ms" "group_pair_ms"
+        (fun (_, disk, _) -> disk);
+      Spec.float_col ~digits:1 "nvram pair ms" "nvram_pair_ms"
+        (fun (_, _, nvram) -> nvram);
+    ]
+    (fun scale ->
+      let params = Dirsvc.Params.with_disk_scale Dirsvc.Params.default scale in
+      let pair flavor = pair_ms ~seed:31L ~params ~repeats:8 flavor in
+      (scale, pair C.Group_disk, pair C.Group_nvram))
+    [ 0.25; 0.5; 1.0; 2.0 ]
 
 (* ---- Ablation: PB vs BB dissemination ------------------------------ *)
 
@@ -703,71 +592,38 @@ let ablation_disk () =
    tiny Accept. Count what the sequencer actually sends. *)
 let ablation_method () =
   printf "\n== Ablation: PB vs BB dissemination ==\n\n";
-  let run dissemination label =
-    let engine = Sim.Engine.create ~seed:59L () in
+  let run (key, dissemination, label) =
     let metrics = Sim.Metrics.create () in
-    let net = Simnet.Network.create engine ~metrics () in
-    let config = { Group.Types.default_config with dissemination } in
-    let members = Hashtbl.create 3 in
-    let nodes = Hashtbl.create 3 in
-    List.iter
-      (fun id ->
-        let node = Sim.Node.create ~id in
-        Hashtbl.replace nodes id node;
-        let nic = Simnet.Network.attach net node in
-        Sim.Proc.boot engine node (fun () ->
-            let m =
-              if id = 1 then
-                Group.Member.create_group ~metrics ~config net nic ~gname:"g"
-              else begin
-                Sim.Proc.sleep (float_of_int id);
-                Group.Member.join_group ~metrics ~config net nic ~gname:"g"
-              end
-            in
-            Hashtbl.replace members id m))
-      [ 1; 2; 3 ];
-    let samples = ref [] in
-    let result = ref J.Null in
-    Sim.Engine.schedule engine ~delay:30.0 (fun () ->
-        Sim.Proc.boot engine (Hashtbl.find nodes 2) (fun () ->
-            let m = Hashtbl.find members 2 in
-            let before = Sim.Metrics.counters metrics in
-            for _ = 1 to 25 do
-              let t0 = Sim.Proc.now () in
-              Group.Member.send m (Simnet.Payload.Opaque (String.make 1024 'x'));
-              samples := (Sim.Proc.now () -. t0) :: !samples
-            done;
-            let after = Sim.Metrics.counters metrics in
-            let delta = Sim.Metrics.delta ~before ~after in
-            let get key =
-              match List.assoc_opt key delta with Some v -> v | None -> 0
-            in
-            printf
-              "  %-3s latency %.2f ms/send; sequencer forwards %d full bodies,                %d accepts; sender bodies %d\n"
-              label
-              (stats_mean !samples)
-              (get "grp.data") (get "grp.accept") (get "grp.body");
-            result :=
-              J.Obj
-                [
-                  ("latency_ms_per_send", J.Float (stats_mean !samples));
-                  ("sequencer_bodies", J.Int (get "grp.data"));
-                  ("accepts", J.Int (get "grp.accept"));
-                  ("sender_bodies", J.Int (get "grp.body"));
-                ]));
-    Sim.Engine.run ~until:2_000.0 engine;
-    !result
+    with_group ~seed:59L ~metrics
+      { Group.Types.default_config with dissemination }
+      (fun m ->
+        let before = Sim.Metrics.counters metrics in
+        let samples =
+          send_latencies m 25 (Simnet.Payload.Opaque (String.make 1024 'x'))
+        in
+        let after = Sim.Metrics.counters metrics in
+        let get = moved (Sim.Metrics.delta ~before ~after) in
+        printf
+          "  %-3s latency %.2f ms/send; sequencer forwards %d full bodies,                %d accepts; sender bodies %d\n"
+          label (mean samples) (get "grp.data") (get "grp.accept")
+          (get "grp.body");
+        ( key,
+          J.Obj
+            [
+              ("latency_ms_per_send", J.Float (mean samples));
+              ("sequencer_bodies", J.Int (get "grp.data"));
+              ("accepts", J.Int (get "grp.accept"));
+              ("sender_bodies", J.Int (get "grp.body"));
+            ] ))
   in
-  let pb_fut = psubmit (fun () -> captured (fun () -> run Group.Types.Pb "PB:")) in
-  let bb_fut = psubmit (fun () -> captured (fun () -> run Group.Types.Bb "BB:")) in
-  let pb_out, pb = Sim.Pool.await pb_fut in
-  print_string pb_out;
-  let bb_out, bb = Sim.Pool.await bb_fut in
-  print_string bb_out;
+  let results =
+    captured_map run
+      [ ("pb", Group.Types.Pb, "PB:"); ("bb", Group.Types.Bb, "BB:") ]
+  in
   printf
     "same ordering guarantees and latency; under BB the body crosses the\n\
      sequencer zero times - the win grows with message size.\n";
-  J.Obj [ ("pb", pb); ("bb", bb) ]
+  J.Obj results
 
 (* ---- Availability: unavailability window around failures ----------- *)
 
@@ -776,16 +632,14 @@ let ablation_method () =
    long until a restarted replica is back in the view? *)
 let availability () =
   printf "\n== Availability: service interruption around failures ==\n\n";
-  let run victim label =
+  let run (victim, label) =
     let cluster = C.create ~seed:47L C.Group_disk in
     ignore (C.await_serving cluster ~count:3);
     let client = C.client cluster in
     let node = Rpc.Transport.node (Dirsvc.Client.transport client) in
     let outage_start = ref nan and outage_end = ref nan in
-    let cap_ref = ref None in
     Sim.Proc.boot (C.engine cluster) node (fun () ->
         let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
-        cap_ref := Some cap;
         (* Probe with updates: writes must traverse the group, so they
            feel the view change (reads are served locally by any
            majority-side replica and sail straight through — itself a
@@ -813,126 +667,94 @@ let availability () =
     C.restart_server cluster victim;
     ignore (C.await_serving ~timeout:20_000.0 cluster ~count:3);
     let rejoin = Sim.Engine.now (C.engine cluster) -. t_restart in
-    (match (Float.is_nan !outage_start, Float.is_nan !outage_end) with
-    | true, _ ->
+    (* None: the outage did not end within the run. *)
+    let outage =
+      if Float.is_nan !outage_start then Some 0.0
+      else if Float.is_nan !outage_end then None
+      else Some (!outage_end -. !outage_start)
+    in
+    (match outage with
+    | Some 0.0 ->
         printf "  %-28s no client-visible outage; rejoin %.0f ms\n" label
           rejoin
-    | false, false ->
-        printf "  %-28s outage %.0f ms; rejoin %.0f ms\n" label
-          (!outage_end -. !outage_start)
-          rejoin
-    | false, true ->
-        printf "  %-28s outage did not end within the run\n" label);
+    | Some ms ->
+        printf "  %-28s outage %.0f ms; rejoin %.0f ms\n" label ms rejoin
+    | None -> printf "  %-28s outage did not end within the run\n" label);
     J.Obj
       [
         ("scenario", J.String label);
-        ( "outage_ms",
-          if Float.is_nan !outage_start then J.Float 0.0
-          else if Float.is_nan !outage_end then J.Null
-          else J.Float (!outage_end -. !outage_start) );
+        ("outage_ms", match outage with Some ms -> J.Float ms | None -> J.Null);
         ("rejoin_ms", J.Float rejoin);
       ]
   in
-  let follower_fut =
-    psubmit (fun () -> captured (fun () -> run 3 "follower server crash:"))
+  let results =
+    captured_map run
+      [ (3, "follower server crash:"); (1, "sequencer-hosting crash:") ]
   in
-  let sequencer_fut =
-    psubmit (fun () -> captured (fun () -> run 1 "sequencer-hosting crash:"))
-  in
-  let follower_out, follower = Sim.Pool.await follower_fut in
-  print_string follower_out;
-  let sequencer_out, sequencer = Sim.Pool.await sequencer_fut in
-  print_string sequencer_out;
   printf
     "(outage = first refused update to first completed update; crash at t=500;\n lookups are served locally by the survivors and see no outage)\n";
-  J.List [ follower; sequencer ]
+  J.List results
 
 (* ---- Bechamel microbenchmarks: one Test.make per table/figure ------ *)
 
 let micro () =
   printf "\n== Bechamel microbenchmarks (real time, hot paths) ==\n\n";
   let open Bechamel in
+  let module D = Dirsvc.Directory in
   let secret = Capability.mint_secret 1L in
   let dir_store, dir_cap =
     match
-      Dirsvc.Directory.apply Dirsvc.Directory.empty ~seqno:1
-        (Dirsvc.Directory.Create_dir
-           { columns = [ "owner"; "other" ]; secret; hint = None })
+      D.apply D.empty ~seqno:1
+        (D.Create_dir { columns = [ "owner"; "other" ]; secret; hint = None })
     with
-    | Ok (store, Dirsvc.Directory.Created id) ->
+    | Ok (store, D.Created id) ->
         (store, Capability.owner ~port:"dirsvc" ~obj:id secret)
     | _ -> assert false
+  in
+  let append name =
+    D.Append_row { cap = dir_cap; name; caps = [ dir_cap ]; masks = [] }
   in
   let populated =
     List.fold_left
       (fun store i ->
         match
-          Dirsvc.Directory.apply store ~seqno:(i + 2)
-            (Dirsvc.Directory.Append_row
-               {
-                 cap = dir_cap;
-                 name = Printf.sprintf "row%d" i;
-                 caps = [ dir_cap ];
-                 masks = [];
-               })
+          D.apply store ~seqno:(i + 2) (append (Printf.sprintf "row%d" i))
         with
         | Ok (store, _) -> store
         | Error _ -> store)
       dir_store
       (List.init 20 Fun.id)
   in
-  let dir = Dirsvc.Directory.Store.find 0 populated in
-  let encoded = Dirsvc.Directory.encode_dir dir in
+  let dir = D.Store.find 0 populated in
+  let encoded = D.encode_dir dir in
+  let case name f = Test.make ~name (Staged.stage (fun () -> ignore (f ()))) in
+  let peer server useq stayed_up =
+    {
+      Dirsvc.Skeen.server;
+      mourned = Dirsvc.Skeen.Int_set.singleton 3;
+      useq;
+      stayed_up;
+      serving = false;
+    }
+  in
   let tests =
     [
       (* Fig. 7's inner loop: one update applied to the store. *)
-      Test.make ~name:"fig7: Directory.apply append"
-        (Staged.stage (fun () ->
-             ignore
-               (Dirsvc.Directory.apply populated ~seqno:99
-                  (Dirsvc.Directory.Append_row
-                     {
-                       cap = dir_cap;
-                       name = "bench";
-                       caps = [ dir_cap ];
-                       masks = [];
-                     }))));
+      case "fig7: Directory.apply append" (fun () ->
+          D.apply populated ~seqno:99 (append "bench"));
       (* Fig. 8's inner loop: a lookup against the cached directory. *)
-      Test.make ~name:"fig8: Directory.lookup"
-        (Staged.stage (fun () ->
-             ignore
-               (Dirsvc.Directory.lookup populated ~cap:dir_cap ~name:"row7"
-                  ~column:0)));
+      case "fig8: Directory.lookup" (fun () ->
+          D.lookup populated ~cap:dir_cap ~name:"row7" ~column:0);
       (* Fig. 9's commit path: encode/decode of the Bullet file image. *)
-      Test.make ~name:"fig9: encode_dir (commit image)"
-        (Staged.stage (fun () -> ignore (Dirsvc.Directory.encode_dir dir)));
-      Test.make ~name:"fig9: decode_dir (recovery load)"
-        (Staged.stage (fun () -> ignore (Dirsvc.Directory.decode_dir encoded)));
+      case "fig9: encode_dir (commit image)" (fun () -> D.encode_dir dir);
+      case "fig9: decode_dir (recovery load)" (fun () -> D.decode_dir encoded);
       (* The §3.1 analysis rests on per-request capability checks. *)
-      Test.make ~name:"costs: capability validate"
-        (Staged.stage (fun () -> ignore (Capability.validate dir_cap secret)));
+      case "costs: capability validate" (fun () ->
+          Capability.validate dir_cap secret);
       (* Recovery's decision procedure (Fig. 6). *)
-      Test.make ~name:"recovery: Skeen.decide"
-        (Staged.stage (fun () ->
-             ignore
-               (Dirsvc.Skeen.decide ~all:[ 1; 2; 3 ]
-                  ~present:
-                    [
-                      {
-                        Dirsvc.Skeen.server = 1;
-                        mourned = Dirsvc.Skeen.Int_set.singleton 3;
-                        useq = 10;
-                        stayed_up = true;
-                        serving = false;
-                      };
-                      {
-                        Dirsvc.Skeen.server = 2;
-                        mourned = Dirsvc.Skeen.Int_set.singleton 3;
-                        useq = 11;
-                        stayed_up = false;
-                        serving = false;
-                      };
-                    ])));
+      case "recovery: Skeen.decide" (fun () ->
+          Dirsvc.Skeen.decide ~all:[ 1; 2; 3 ]
+            ~present:[ peer 1 10 true; peer 2 11 false ]);
     ]
   in
   let benchmark test =
@@ -963,45 +785,27 @@ let micro () =
   in
   J.Obj estimates
 
-(* ---- Driver --------------------------------------------------------- *)
+(* ---- Mixed workload ------------------------------------------------- *)
 
 (* The paper's measured workload: 98% of directory operations are reads
    (§2). Aggregate throughput under the realistic mix. *)
 let mix () =
-  printf "\n== Mixed workload: 98%% reads / 2%% updates (paper §2) ==\n\n";
-  let measured =
-    pmap
-      (fun (flavor, name) ->
-        let cluster = C.create ~seed:55L flavor in
-        (name, Workload.Mix.run cluster ~clients:5 ~read_fraction:0.98))
-      flavors
-  in
-  let rows =
-    List.map
-      (fun (name, point) ->
-        [
-          name;
-          Printf.sprintf "%.0f" point.Workload.Mix.ops_per_second;
-          Printf.sprintf "%.0f" point.Workload.Mix.reads_per_second;
-          Printf.sprintf "%.1f" point.Workload.Mix.writes_per_second;
-        ])
-      measured
-  in
-  print_string
-    (Workload.Tables.render
-       ~header:[ "service"; "ops/s"; "reads/s"; "writes/s" ]
-       rows);
-  J.List
-    (List.map
-       (fun (name, point) ->
-         J.Obj
-           [
-             ("service", J.String name);
-             ("ops_per_second", J.Float point.Workload.Mix.ops_per_second);
-             ("reads_per_second", J.Float point.Workload.Mix.reads_per_second);
-             ("writes_per_second", J.Float point.Workload.Mix.writes_per_second);
-           ])
-       measured)
+  table_experiment
+    ~intro:"\n== Mixed workload: 98% reads / 2% updates (paper §2) ==\n\n"
+    Workload.Mix.
+      [
+        Spec.col "service" "service" fst (fun (name, _) -> J.String name);
+        Spec.float_col ~digits:0 "ops/s" "ops_per_second" (fun (_, p) ->
+            p.ops_per_second);
+        Spec.float_col ~digits:0 "reads/s" "reads_per_second" (fun (_, p) ->
+            p.reads_per_second);
+        Spec.float_col ~digits:1 "writes/s" "writes_per_second" (fun (_, p) ->
+            p.writes_per_second);
+      ]
+    (fun (flavor, name) ->
+      let cluster = C.create ~seed:55L flavor in
+      (name, Workload.Mix.run cluster ~clients:5 ~read_fraction:0.98))
+    Spec.flavors
 
 (* ---- Speed: wall-clock throughput of the simulation core ----------- *)
 
@@ -1012,426 +816,221 @@ let mix () =
    same-seed trace guarantee); this is the number that is allowed to
    move. [--quick] shrinks every scenario to a ~1 s smoke check. *)
 
-let speed_quick = ref false
+let ops (t : Spec.timed) = t.result.point.Workload.Throughput.total_ops
 
-type speed_row = {
-  scenario : string;
-  wall_s : float;
-  events : int; (* engine events executed *)
-  packets : int; (* wire packets sent (net.pkt) *)
-  ops : int; (* simulated operations completed *)
-  minor_words : float; (* GC minor words allocated during the run *)
-}
+let per_op (t : Spec.timed) v =
+  if ops t = 0 then None else Some (v /. float_of_int (ops t))
 
-(* [run] builds its own deployment, drives it, and reports
-   (events, packets, ops). Wall time and allocation are measured around
-   the whole thing — deployment construction is part of the cost a
-   larger experiment pays. *)
-let measure_speed scenario run =
-  Gc.full_major ();
-  let minor0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let events, packets, ops = run () in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let minor_words = Gc.minor_words () -. minor0 in
-  { scenario; wall_s; events; packets; ops; minor_words }
+let wall_col =
+  Spec.float_col ~digits:3 "wall s" "wall_s" (fun (t : Spec.timed) -> t.wall_s)
 
-let cluster_totals cluster ops =
-  ( Sim.Engine.events_executed (C.engine cluster),
-    Sim.Metrics.count (C.metrics cluster) "net.pkt",
-    ops )
+let ops_col = Spec.int_col "ops" "ops" ops
 
-let speed_scenarios quick =
+let events_col =
+  Spec.json_col "events" (fun t -> J.Int (Spec.events t.Spec.result))
+
+let minor_cols =
   [
-    (* Fig. 7's workload: one client, the three latency scenarios. *)
-    ( "fig7_latency",
-      fun () ->
-        let repeats = if quick then 3 else 40 in
-        let cluster = C.create ~seed:7L C.Group_disk in
-        ignore (Workload.Scenarios.run_fig7 ~repeats cluster);
-        cluster_totals cluster (3 * repeats) );
-    (* Fig. 8's workload: 7 closed-loop lookup clients. *)
-    ( "fig8_lookup",
-      fun () ->
-        let window = if quick then 500.0 else 10_000.0 in
-        let cluster = C.create ~seed:801L C.Group_disk in
-        let point = Workload.Throughput.lookups cluster ~clients:7 ~window in
-        cluster_totals cluster point.Workload.Throughput.total_ops );
-    (* Fig. 9's workload: 7 closed-loop append-delete clients — every
-       update is a SendToGroup multicast, the protocol hot path. *)
-    ( "fig9_append_delete",
-      fun () ->
-        let window = if quick then 1_000.0 else 30_000.0 in
-        let cluster = C.create ~seed:901L C.Group_disk in
-        let point =
-          Workload.Throughput.append_deletes cluster ~clients:7 ~window
-        in
-        cluster_totals cluster point.Workload.Throughput.total_ops );
-    (* Beyond the paper's 7 clients: 50 closed-loop update clients
-       against a 5-replica group — the scale the ROADMAP points at. *)
-    ( "scaled_50c_5s",
-      fun () ->
-        let clients = if quick then 12 else 50 in
-        let window = if quick then 500.0 else 2_000.0 in
-        let cluster = C.create ~seed:5001L ~servers:5 C.Group_disk in
-        let point =
-          Workload.Throughput.append_deletes cluster ~clients ~window
-        in
-        cluster_totals cluster point.Workload.Throughput.total_ops );
+    Spec.json_col "minor_words" (fun (t : Spec.timed) -> J.Float t.minor_words);
+    Spec.opt_col ~digits:0 "minor w/op" "minor_words_per_op" (fun t ->
+        per_op t t.Spec.minor_words);
   ]
 
-(* The full figure grid (fig7's flavor runs plus every (flavor, clients,
-   seed) point of figs. 8 and 9) as a flat list of independent thunks —
-   the workload whose wall clock the --jobs fan-out is meant to cut.
-   [--quick] shrinks repeats and windows the same way the scenarios
-   above do. *)
-let grid_thunks quick =
-  let repeats = if quick then 3 else 12 in
-  let points = if quick then [ 3; 7 ] else sweep_clients in
-  let fig7_runs =
-    List.map
-      (fun (flavor, _) () ->
-        ignore
-          (Workload.Scenarios.run_fig7 ~repeats (C.create ~seed:fig7_seed flavor)))
-      flavors
-  in
-  let sweep_runs base measure =
-    List.concat_map
-      (fun (flavor, off) ->
-        List.concat_map
-          (fun clients ->
-            List.map
-              (fun seed () ->
-                let cluster = C.create ~seed flavor in
-                ignore (measure cluster ~clients))
-              (replicate_seeds (Int64.add base off)))
-          points)
-      fig8_flavor_offsets
-  in
-  let lookup_window = if quick then 500.0 else 2_000.0 in
-  let pair_window = if quick then 500.0 else 4_000.0 in
-  fig7_runs
-  @ sweep_runs 800L (fun cluster ~clients ->
-        Workload.Throughput.lookups cluster ~clients ~window:lookup_window)
-  @ sweep_runs 900L (fun cluster ~clients ->
-        Workload.Throughput.append_deletes cluster ~clients ~window:pair_window)
+let scenario_cols =
+  let packets t = Spec.count t.Spec.result "net.pkt" in
+  [
+    Spec.col "scenario" "scenario"
+      (fun (t : Spec.timed) -> t.scenario.name)
+      (fun t -> J.String t.scenario.name);
+    wall_col;
+    events_col;
+    Spec.float_col ~digits:0 "events/s" "events_per_sec" (fun t ->
+        float_of_int (Spec.events t.Spec.result) /. t.wall_s);
+    Spec.json_col "packets" (fun t -> J.Int (packets t));
+    Spec.float_col ~digits:0 "packets/s" "packets_per_sec" (fun t ->
+        float_of_int (packets t) /. t.wall_s);
+    ops_col;
+  ]
+  @ minor_cols
 
-(* Wall clock of the whole grid at 1/2/4 domains, each on a private
-   pool. Runs after the shared pool has drained (the driver sequences
-   the speed experiment behind every parallel one), so nothing else
-   competes for the cores. *)
-let measure_jobs_scaling quick =
-  List.map
-    (fun jobs ->
-      let runs = grid_thunks quick in
-      Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
-      Sim.Pool.with_pool ~jobs (fun pool ->
-          ignore (Sim.Pool.map pool (fun f -> f ()) runs));
-      (jobs, Unix.gettimeofday () -. t0))
-    [ 1; 2; 4 ]
-
-(* Batch-efficiency: the scaled update scenario with sequencer batching
-   and group commit on vs off. batch = 1 is the wire-identical unbatched
-   protocol; its servers commit once per update by construction and the
+(* Group commit on vs off. batch = 1 is the unbatched protocol: its
+   servers commit once per update by construction and the
    [dirsvc.commit] counter does not exist, so commits/op is reported
    only for batched runs. *)
-let measure_batch quick batch =
-  let clients = if quick then 12 else 50 in
-  let window = if quick then 500.0 else 2_000.0 in
-  let params = { Dirsvc.Params.default with batch_max = batch } in
-  Gc.full_major ();
-  let minor0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let cluster = C.create ~seed:5001L ~params ~servers:5 C.Group_disk in
-  let point = Workload.Throughput.append_deletes cluster ~clients ~window in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let minor_words = Gc.minor_words () -. minor0 in
-  ( batch,
-    wall_s,
-    point.Workload.Throughput.total_ops,
-    Sim.Engine.events_executed (C.engine cluster),
-    Sim.Metrics.count (C.metrics cluster) "dirsvc.commit",
-    minor_words )
+let batch_max (t : Spec.timed) = t.scenario.params.Dirsvc.Params.batch_max
+
+let batch_cols =
+  [
+    Spec.int_col "batch" "batch_max" batch_max;
+    wall_col;
+    ops_col;
+    events_col;
+    Spec.opt_col ~digits:1 "events/op" "events_per_op" (fun t ->
+        per_op t (float_of_int (Spec.events t.result)));
+    Spec.opt_col ~digits:3 "commits/op" "commits_per_op" (fun t ->
+        if batch_max t <= 1 then None
+        else per_op t (float_of_int (Spec.count t.result "dirsvc.commit")));
+  ]
+  @ minor_cols
 
 let speed () =
-  let quick = !speed_quick in
+  let quick = !quick in
   printf "\n== Speed: wall-clock throughput of the simulation core ==\n";
   printf "(real seconds%s; simulated results are seed-identical)\n\n"
     (if quick then ", --quick" else "");
-  let rows = List.map (fun (name, run) -> measure_speed name run) (speed_scenarios quick) in
-  let table_rows =
-    List.map
-      (fun r ->
-        [
-          r.scenario;
-          Printf.sprintf "%.3f" r.wall_s;
-          Printf.sprintf "%.0f" (float_of_int r.events /. r.wall_s);
-          Printf.sprintf "%.0f" (float_of_int r.packets /. r.wall_s);
-          Printf.sprintf "%d" r.ops;
-          (if r.ops = 0 then "-"
-           else Printf.sprintf "%.0f" (r.minor_words /. float_of_int r.ops));
-        ])
-      rows
+  let rows = List.map (Spec.timed ~quick) Spec.speed_scenarios in
+  print_string (Spec.render scenario_cols rows);
+  (* The scaled scenario is the batch = 1 row. *)
+  let batch_rows =
+    List.nth rows 3
+    :: List.map
+         (fun b -> Spec.timed ~quick (Spec.batched b))
+         (if quick then [ 4 ] else [ 4; 8 ])
   in
-  print_string
-    (Workload.Tables.render
-       ~header:
-         [ "scenario"; "wall s"; "events/s"; "packets/s"; "ops"; "minor w/op" ]
-       table_rows);
-  let batch_points = if quick then [ 1; 4 ] else [ 1; 4; 8 ] in
-  let batch_rows = List.map (measure_batch quick) batch_points in
   printf "\nbatch-efficiency: scaled update scenario, group commit on/off\n";
-  print_string
-    (Workload.Tables.render
-       ~header:
-         [ "batch"; "wall s"; "ops"; "events/op"; "commits/op"; "minor w/op" ]
-       (List.map
-          (fun (batch, wall_s, ops, events, commits, minor_words) ->
-            [
-              string_of_int batch;
-              Printf.sprintf "%.3f" wall_s;
-              string_of_int ops;
-              (if ops = 0 then "-"
-               else Printf.sprintf "%.1f" (float_of_int events /. float_of_int ops));
-              (if batch <= 1 || ops = 0 then "-"
-               else
-                 Printf.sprintf "%.3f" (float_of_int commits /. float_of_int ops));
-              (if ops = 0 then "-"
-               else Printf.sprintf "%.0f" (minor_words /. float_of_int ops));
-            ])
-          batch_rows));
-  let scaling = measure_jobs_scaling quick in
-  let base_wall = match scaling with (1, w) :: _ -> w | _ -> nan in
+  print_string (Spec.render batch_cols batch_rows);
+  (* Wall clock of the whole figure grid at 1/2/4 domains, each on a
+     private pool. Runs after the shared pool has drained (the driver
+     sequences the speed experiment behind every parallel one), so
+     nothing else competes for the cores. *)
+  let scaling =
+    List.map
+      (fun jobs -> (jobs, Spec.pool_wall ~jobs (Spec.grid_thunks ~quick)))
+      [ 1; 2; 4 ]
+  in
+  let base_wall = snd (List.hd scaling) in
+  let scaling_cols =
+    [
+      Spec.int_col "jobs" "jobs" fst;
+      Spec.float_col ~digits:3 "grid wall s" "grid_wall_s" snd;
+      Spec.col "speedup" "speedup"
+        (fun (_, wall) -> Printf.sprintf "%.2fx" (base_wall /. wall))
+        (fun (_, wall) -> J.Float (base_wall /. wall));
+    ]
+  in
   printf "\njobs-scaling: full figure grid wall clock (%d cores available)\n"
     (Domain.recommended_domain_count ());
-  print_string
-    (Workload.Tables.render
-       ~header:[ "jobs"; "grid wall s"; "speedup" ]
-       (List.map
-          (fun (jobs, wall) ->
-            [
-              string_of_int jobs;
-              Printf.sprintf "%.3f" wall;
-              Printf.sprintf "%.2fx" (base_wall /. wall);
-            ])
-          scaling));
+  print_string (Spec.render scaling_cols scaling);
   J.Obj
     [
       ("quick", J.Bool quick);
       ("cores", J.Int (Domain.recommended_domain_count ()));
-      ( "batch_efficiency",
-        J.List
-          (List.map
-             (fun (batch, wall_s, ops, events, commits, minor_words) ->
-               J.Obj
-                 [
-                   ("batch_max", J.Int batch);
-                   ("wall_s", J.Float wall_s);
-                   ("ops", J.Int ops);
-                   ("events", J.Int events);
-                   ( "events_per_op",
-                     if ops = 0 then J.Null
-                     else J.Float (float_of_int events /. float_of_int ops) );
-                   ( "commits_per_op",
-                     if batch <= 1 || ops = 0 then J.Null
-                     else J.Float (float_of_int commits /. float_of_int ops) );
-                   ("minor_words", J.Float minor_words);
-                   ( "minor_words_per_op",
-                     if ops = 0 then J.Null
-                     else J.Float (minor_words /. float_of_int ops) );
-                 ])
-             batch_rows) );
-      ( "jobs_scaling",
-        J.List
-          (List.map
-             (fun (jobs, wall) ->
-               J.Obj
-                 [
-                   ("jobs", J.Int jobs);
-                   ("grid_wall_s", J.Float wall);
-                   ("speedup", J.Float (base_wall /. wall));
-                 ])
-             scaling) );
-      ( "scenarios",
-        J.List
-          (List.map
-             (fun r ->
-               J.Obj
-                 [
-                   ("scenario", J.String r.scenario);
-                   ("wall_s", J.Float r.wall_s);
-                   ("events", J.Int r.events);
-                   ( "events_per_sec",
-                     J.Float (float_of_int r.events /. r.wall_s) );
-                   ("packets", J.Int r.packets);
-                   ( "packets_per_sec",
-                     J.Float (float_of_int r.packets /. r.wall_s) );
-                   ("ops", J.Int r.ops);
-                   ("minor_words", J.Float r.minor_words);
-                   ( "minor_words_per_op",
-                     if r.ops = 0 then J.Null
-                     else J.Float (r.minor_words /. float_of_int r.ops) );
-                 ])
-             rows) );
+      ("batch_efficiency", Spec.to_json batch_cols batch_rows);
+      ("jobs_scaling", Spec.to_json scaling_cols scaling);
+      ("scenarios", Spec.to_json scenario_cols rows);
     ]
 
 (* ---- Shards: throughput vs shard count (fixed replica budget) ------ *)
 
-(* One measured run: an [m]-shard deployment spending the whole
-   12-server budget (so more shards means smaller groups), driven by the
-   update-heavy shard workload. [cross_period = 0] is the pure-update
-   column; [cross_period = 8] mixes in a cross-shard move every 8th
-   iteration per client. *)
-let measure_shards ~m ~budget ~clients ~window ~cross_period seed =
-  let params = { Dirsvc.Params.default with shards = m } in
-  let cluster = C.create ~seed ~params ~servers:(budget / m) C.Group_disk in
-  let point =
-    Workload.Throughput.shard_updates cluster ~clients ~window ~cross_period
+(* A row is a shard count with its per-seed results (throughput point,
+   cross-shard commits, op histograms); the columns average the seeds
+   and take the first seed's histograms. *)
+let seed_mean f (_, results) = mean (List.map f results)
+
+let shard_rate = seed_mean (fun (p, _, _) -> p.Workload.Throughput.per_second)
+
+(* The update-only table's text columns, the cross-mix table's, and the
+   JSON columns of both; speedups are against the one-shard [base]. *)
+let shard_cols ~base =
+  let mean_col header key f =
+    Spec.float_col ~digits:0 header key (seed_mean f)
   in
-  ( point.Workload.Throughput.per_second,
-    point.Workload.Throughput.total_ops,
-    point.Workload.Throughput.errors,
-    Sim.Metrics.count (C.metrics cluster) "dirsvc.cross_shard",
-    histogram_summaries (C.metrics cluster) )
+  let shards = Spec.int_col "shards" "shards" fst
+  and servers =
+    Spec.int_col "servers/shard" "servers_per_shard" (fun (m, _) ->
+        Spec.shard_budget / m)
+  and per_second = Spec.float_col ~digits:0 "updates/s" "per_second" shard_rate
+  and ops =
+    mean_col "ops" "total_ops" (fun (p, _, _) ->
+        float_of_int p.Workload.Throughput.total_ops)
+  and errors =
+    mean_col "errors" "errors" (fun (p, _, _) ->
+        float_of_int p.Workload.Throughput.errors)
+  and xcommits =
+    mean_col "x-commits" "cross_shard_commits" (fun (_, c, _) -> float_of_int c)
+  and speedup =
+    (* A --quick window can measure 0 ops/s at the slow end: no ratio. *)
+    let ratio r = if base > 0.0 then Some (shard_rate r /. base) else None in
+    Spec.col "speedup" "speedup_vs_1"
+      (fun r ->
+        match ratio r with Some s -> Printf.sprintf "%.2fx" s | None -> "-")
+      (fun r -> match ratio r with Some s -> J.Float s | None -> J.Null)
+  and hists =
+    Spec.json_col "op_histograms" (fun (_, results) ->
+        match results with (_, _, h) :: _ -> h | [] -> J.Null)
+  in
+  ( [ shards; servers; per_second; ops; speedup ],
+    [ shards; per_second; ops; speedup; xcommits; errors ],
+    [ shards; servers; per_second; ops; errors; xcommits; speedup; hists ] )
 
 let shards_experiment () =
-  let quick = !speed_quick in
-  let budget = 12 in
-  let shard_counts = [ 1; 2; 4 ] in
-  let clients = if quick then 8 else 24 in
-  let window = if quick then 500.0 else 8_000.0 in
+  let quick = !quick in
+  let clients, window, cross_period = Spec.shards_size ~quick in
   printf "\n== Shards: update throughput vs shard count (%d-server budget) ==\n"
-    budget;
+    Spec.shard_budget;
   printf "(%d clients, %.0f ms window%s; mean of 3 seeds)\n\n" clients window
     (if quick then ", --quick" else "");
-  let submit ~base ~cross_period =
+  (* Both columns fan out over the pool before either joins. *)
+  let submit ~cross ~base =
     List.map
       (fun m ->
         ( m,
           List.map
             (fun seed ->
               psubmit (fun () ->
-                  measure_shards ~m ~budget ~clients ~window ~cross_period seed))
-            (replicate_seeds base) ))
-      shard_counts
+                  let r = Spec.run ~quick (Spec.shards_point ~cross ~m seed) in
+                  ( r.point,
+                    Spec.count r "dirsvc.cross_shard",
+                    histogram_summaries (C.metrics r.cluster) )))
+            (Spec.replicate_seeds base) ))
+      [ 1; 2; 4 ]
   in
-  (* Both columns fan out over the pool before either joins. Updates
-     serialize through each group's sequencer commit, so a window fits
-     only a handful of iterations per client; the mix moves every 2nd
-     (quick) / 4th iteration so the cross path actually runs. *)
-  let cross_period = if quick then 2 else 4 in
-  let upd_futs = submit ~base:4200L ~cross_period:0 in
-  let cross_futs = submit ~base:4300L ~cross_period in
+  let upd = submit ~cross:false ~base:4200L in
+  let cross = submit ~cross:true ~base:4300L in
   let join futures =
-    List.map
-      (fun (m, futs) ->
-        let results = List.map Sim.Pool.await futs in
-        let mean f = stats_mean (List.map f results) in
-        let per_second = mean (fun (ps, _, _, _, _) -> ps) in
-        let ops = mean (fun (_, ops, _, _, _) -> float_of_int ops) in
-        let errors = mean (fun (_, _, e, _, _) -> float_of_int e) in
-        let cross = mean (fun (_, _, _, c, _) -> float_of_int c) in
-        let hists =
-          match results with (_, _, _, _, h) :: _ -> h | [] -> J.Null
-        in
-        (m, per_second, ops, errors, cross, hists))
-      futures
+    let rows =
+      List.map (fun (m, futs) -> (m, List.map Sim.Pool.await futs)) futures
+    in
+    (rows, shard_cols ~base:(shard_rate (List.hd rows)))
   in
-  let upd = join upd_futs in
-  let cross = join cross_futs in
-  let base_rate rows =
-    match rows with (_, ps, _, _, _, _) :: _ -> ps | [] -> nan
-  in
-  let upd_base = base_rate upd and cross_base = base_rate cross in
-  (* A --quick window can measure 0 ops/s at the slow end; don't print
-     (or emit) nan/inf ratios off that. *)
-  let speedup ps base =
-    if base > 0.0 then Some (ps /. base) else None
-  in
-  let speedup_cell ps base =
-    match speedup ps base with
-    | Some s -> Printf.sprintf "%.2fx" s
-    | None -> "-"
-  in
+  let upd, (upd_cols, _, upd_json) = join upd in
+  let cross, (_, cross_cols, cross_json) = join cross in
   printf "update-only (append+delete pairs, cross_period = 0):\n";
-  print_string
-    (Workload.Tables.render
-       ~header:[ "shards"; "servers/shard"; "updates/s"; "ops"; "speedup" ]
-       (List.map
-          (fun (m, ps, ops, _errors, _cross, _h) ->
-            [
-              string_of_int m;
-              string_of_int (budget / m);
-              Printf.sprintf "%.0f" ps;
-              Printf.sprintf "%.0f" ops;
-              speedup_cell ps upd_base;
-            ])
-          upd));
+  print_string (Spec.render upd_cols upd);
   printf "\ncross-shard mix (every %dth iteration moves a row):\n" cross_period;
-  print_string
-    (Workload.Tables.render
-       ~header:
-         [ "shards"; "updates/s"; "ops"; "speedup"; "x-commits"; "errors" ]
-       (List.map
-          (fun (m, ps, ops, errors, cross, _h) ->
-            [
-              string_of_int m;
-              Printf.sprintf "%.0f" ps;
-              Printf.sprintf "%.0f" ops;
-              speedup_cell ps cross_base;
-              Printf.sprintf "%.0f" cross;
-              Printf.sprintf "%.0f" errors;
-            ])
-          cross));
-  let column rows base =
-    J.List
-      (List.map
-         (fun (m, ps, ops, errors, cross, hists) ->
-           J.Obj
-             [
-               ("shards", J.Int m);
-               ("servers_per_shard", J.Int (budget / m));
-               ("per_second", J.Float ps);
-               ("total_ops", J.Float ops);
-               ("errors", J.Float errors);
-               ("cross_shard_commits", J.Float cross);
-               ( "speedup_vs_1",
-                 match speedup ps base with
-                 | Some s -> J.Float s
-                 | None -> J.Null );
-               ("op_histograms", hists);
-             ])
-         rows)
-  in
+  print_string (Spec.render cross_cols cross);
   J.Obj
     [
       ("quick", J.Bool quick);
-      ("budget_servers", J.Int budget);
+      ("budget_servers", J.Int Spec.shard_budget);
       ("clients", J.Int clients);
       ("window_ms", J.Float window);
       ("seeds_per_point", J.Int 3);
       ("cross_period", J.Int cross_period);
-      ("update_only", column upd upd_base);
-      ("cross_mix", column cross cross_base);
+      ("update_only", Spec.to_json upd_json upd);
+      ("cross_mix", Spec.to_json cross_json cross);
     ]
 
-let all_experiments =
+(* ---- Driver --------------------------------------------------------- *)
+
+let experiments =
   [
-    ("fig7", fig7);
-    ("fig8", fig8);
-    ("fig9", fig9);
-    ("costs", costs);
-    ("ablation-r", ablation_r);
-    ("ablation-size", ablation_size);
-    ("ablation-disk", ablation_disk);
-    ("mix", mix);
-    ("availability", availability);
-    ("ablation-method", ablation_method);
-    ("micro", micro);
-    ("shards", shards_experiment);
-    ("speed", speed);
+    ("fig7", "Fig. 7: single-client latency per service", fig7);
+    ("fig8", "Fig. 8: lookup throughput vs clients", fig8);
+    ("fig9", "Fig. 9: append-delete throughput vs clients", fig9);
+    ("costs", "§3.1: messages and disk writes per update", costs);
+    ("ablation-r", "resilience degree vs update latency", ablation_r);
+    ("ablation-size", "3 vs 5 replicas", ablation_size);
+    ("ablation-disk", "disk latency scaling", ablation_disk);
+    ("mix", "98% reads / 2% updates throughput", mix);
+    ("availability", "outage and rejoin around a crash", availability);
+    ("ablation-method", "PB vs BB dissemination", ablation_method);
+    ("micro", "Bechamel microbenchmarks (real time)", micro);
+    ("shards", "update throughput vs shard count", shards_experiment);
+    ("speed", "simulator wall-clock speed (real time)", speed);
   ]
+
+let known name = List.exists (fun (n, _, _) -> n = name) experiments
 
 (* --json [FILE]: machine-readable output. Each experiment's record is
    written to BENCH_<name>.json (dashes mapped to underscores), and one
@@ -1445,6 +1044,12 @@ type json_mode = Text | Json of string option
    experiment has been joined. *)
 let timing_experiments = [ "micro"; "speed" ]
 
+let write_file path doc =
+  let oc = open_out path in
+  output_string oc (J.to_string_pretty doc);
+  output_char oc '\n';
+  close_out oc
+
 let () =
   let int_flag flag value rest k =
     match int_of_string_opt value with
@@ -1456,7 +1061,7 @@ let () =
   let rec parse names mode = function
     | [] -> (List.rev names, mode)
     | "--quick" :: rest ->
-        speed_quick := true;
+        quick := true;
         parse names mode rest
     | "--jobs" :: value :: rest ->
         int_flag "--jobs" value rest (fun n rest ->
@@ -1469,22 +1074,29 @@ let () =
     | "--json" :: rest -> (
         match rest with
         | path :: rest'
-          when (not (List.mem_assoc path all_experiments))
-               && String.length path > 0
-               && path.[0] <> '-' ->
+          when (not (known path)) && String.length path > 0 && path.[0] <> '-'
+          ->
             parse names (Json (Some path)) rest'
         | _ -> parse names (Json None) rest)
     | name :: rest -> parse (name :: names) mode rest
   in
   let requested, mode = parse [] Text (List.tl (Array.to_list Sys.argv)) in
   let requested =
-    if requested = [] then List.map fst all_experiments else requested
+    if requested = [] then List.map (fun (n, _, _) -> n) experiments
+    else requested
   in
   List.iter
     (fun name ->
-      if not (List.mem_assoc name all_experiments) then begin
-        Printf.eprintf "unknown experiment %S; available: %s\n" name
-          (String.concat " " (List.map fst all_experiments));
+      if not (known name) then begin
+        Printf.eprintf
+          "unknown experiment %S\n\
+           usage: main.exe [EXPERIMENT...] [--quick] [--jobs N] [--seeds K] \
+           [--json [FILE]]\n\
+           experiments (default: all):\n"
+          name;
+        List.iter
+          (fun (name, what, _) -> Printf.eprintf "  %-16s %s\n" name what)
+          experiments;
         exit 1
       end)
     requested;
@@ -1496,59 +1108,37 @@ let () =
   let staged =
     List.map
       (fun name ->
-        let f = List.assoc name all_experiments in
-        if List.mem name timing_experiments then (name, `Seq f)
-        else (name, `Par (psubmit (fun () -> captured f))))
+        let _, _, f = List.find (fun (n, _, _) -> n = name) experiments in
+        if List.mem name timing_experiments then (name, f, None)
+        else (name, f, Some (submit_captured f)))
       requested
   in
-  let drain () =
-    List.iter
-      (fun (_, stage) ->
-        match stage with
-        | `Par fut -> ( try ignore (Sim.Pool.await fut) with _ -> ())
-        | `Seq _ -> ())
-      staged
+  let drain (_, _, fut) =
+    Option.iter (fun fut -> try ignore (Sim.Pool.await fut) with _ -> ()) fut
   in
   let results =
     List.map
-      (fun (name, stage) ->
+      (fun (name, f, fut) ->
         let value =
-          match stage with
-          | `Par fut ->
-              let out, value = Sim.Pool.await fut in
-              print_string out;
-              value
-          | `Seq f ->
-              drain ();
+          match fut with
+          | Some fut -> replay fut
+          | None ->
+              List.iter drain staged;
               f ()
         in
         (match mode with
         | Json _ ->
-            let file =
-              Printf.sprintf "BENCH_%s.json"
-                (String.map (function '-' -> '_' | c -> c) name)
-            in
-            let oc = open_out file in
-            output_string oc
-              (J.to_string_pretty
-                 (J.Obj [ ("experiment", J.String name); ("result", value) ]));
-            output_char oc '\n';
-            close_out oc
+            write_file
+              (Printf.sprintf "BENCH_%s.json" (underscored name))
+              (J.Obj [ ("experiment", J.String name); ("result", value) ])
         | Text -> ());
         (name, value))
       staged
   in
-  Sim.Pool.shutdown (pool ());
+  Sim.Pool.shutdown (Lazy.force pool);
   match mode with
   | Text -> ()
   | Json target ->
-      let doc = J.to_string_pretty (J.Obj results) in
-      (match target with
-      | Some path ->
-          let oc = open_out path in
-          output_string oc doc;
-          output_char oc '\n';
-          close_out oc
-      | None -> ());
-      Stdlib.print_string doc;
+      Option.iter (fun path -> write_file path (J.Obj results)) target;
+      Stdlib.print_string (J.to_string_pretty (J.Obj results));
       Stdlib.print_newline ()

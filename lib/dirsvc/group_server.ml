@@ -562,25 +562,26 @@ let wrong_shard t request =
       | None -> false)
 
 let client_handler t ~client:_ body =
-  let timed = Op_latency.time t.latency in
   match body with
   | Wire.Dir_request request when wrong_shard t request ->
       Wire.Dir_reply (Wire.Err_rep Wire.Wrong_shard)
   | Wire.Dir_request (Wire.Xshard_req cmd) ->
-      Wire.Dir_reply (timed ~op:"xshard" (fun () -> handle_xshard t cmd))
+      Wire.Dir_reply
+        (Op_latency.time t.latency ~op:"xshard" (fun () -> handle_xshard t cmd))
   | Wire.Dir_request (Wire.Write_op op) ->
       Wire.Dir_reply
-        (timed ~op:(Directory.op_kind op) (fun () -> handle_write t op))
+        (Op_latency.time t.latency ~op:(Directory.op_kind op) (fun () ->
+             handle_write t op))
   | Wire.Dir_request (Wire.List_req { cap; column }) ->
       Wire.Dir_reply
-        (timed ~op:"list" (fun () ->
+        (Op_latency.time t.latency ~op:"list" (fun () ->
              handle_read t (fun store ->
                  match Directory.list_dir store ~cap ~column with
                  | Ok listing -> Wire.Listing_rep listing
                  | Error e -> Wire.Err_rep (Wire.Op_error e))))
   | Wire.Dir_request (Wire.Lookup_req { items; column }) ->
       Wire.Dir_reply
-        (timed ~op:"lookup" (fun () ->
+        (Op_latency.time t.latency ~op:"lookup" (fun () ->
              handle_read t (fun store ->
                  let resolve (cap, name) =
                    match Directory.lookup store ~cap ~name ~column with

@@ -60,7 +60,7 @@ let captured f =
       Domain.DLS.set sink_key saved;
       raise e
 
-(* ---- parallel fan-out ---------------------------------------------- *)
+(* ---- flags and parallel fan-out ------------------------------------ *)
 
 let jobs_level = ref 1
 
@@ -103,10 +103,10 @@ let histogram_summaries metrics =
        (fun (key, h) -> (key, Sim.Metrics.Histogram.summary_to_json h))
        (Sim.Metrics.histograms metrics))
 
-(* ---- Fig. 7: single-client latency table -------------------------- *)
-
 (* A JSON key from a display name: dashes and spaces become underscores. *)
 let underscored = String.map (function '-' | ' ' -> '_' | c -> c)
+
+(* ---- Fig. 7: single-client latency table -------------------------- *)
 
 type fig7_scenario = {
   label : string;

@@ -103,6 +103,8 @@ let majority_ok t =
   | Some g -> List.length (Group.Member.members g) >= majority t
   | None -> false
 
+let tracing t = Sim.Engine.tracing (Simnet.Network.engine t.net)
+
 let emit t ~name attrs =
   Sim.Engine.emit (Simnet.Network.engine t.net) ~subsystem:"dirsvc"
     ~node:(Sim.Node.id t.node) ~name attrs
@@ -353,8 +355,9 @@ let xstatus_of t txid =
   | None -> if Hashtbl.mem t.staged_x txid then Wire.Xstaged else Wire.Xunknown
 
 let emit_xact t ~name ~txid =
-  emit t ~name (fun () ->
-      [ ("server", Sim.Trace.Int t.server_id); ("txid", Sim.Trace.Int txid) ])
+  if tracing t then
+    emit t ~name
+      [ ("server", Sim.Trace.Int t.server_id); ("txid", Sim.Trace.Int txid) ]
 
 (* Every replica of the shard executes these in total order, so the
    staged / decided state is replicated without extra messages. The
@@ -670,11 +673,12 @@ let load_disk_state t =
           t.store <- Directory.Store.add dir_id dir t.store;
           t.file_caps <- Directory.Store.add dir_id file_cap t.file_caps
       | exception (Storage.Bullet.Error _ | Rpc.Transport.Rpc_failure _) ->
-          emit t ~name:"lost_dir" (fun () ->
+          if tracing t then
+            emit t ~name:"lost_dir"
               [
                 ("server", Sim.Trace.Int t.server_id);
                 ("dir", Sim.Trace.Int dir_id);
-              ]))
+              ])
     entries;
   let max_dir_seqno =
     Directory.Store.fold
@@ -731,8 +735,8 @@ let load_disk_state t =
     (* Crash during recovery: our state may mix old and new directory
        versions. Zero the sequence number so nobody recovers from us
        (paper §3). *)
-    emit t ~name:"untrusted_state" (fun () ->
-        [ ("server", Sim.Trace.Int t.server_id) ]);
+    if tracing t then
+      emit t ~name:"untrusted_state" [ ("server", Sim.Trace.Int t.server_id) ];
     t.useq <- 0
   end
 
@@ -903,11 +907,12 @@ let rec run_recovery t ~attempt =
             in
             (match donor with
             | Some d ->
-                emit t ~name:"forced_recovery" (fun () ->
+                if tracing t then
+                  emit t ~name:"forced_recovery"
                     [
                       ("server", Sim.Trace.Int t.server_id);
                       ("donor", Sim.Trace.Int d.Skeen.server);
-                    ]);
+                    ];
                 Skeen.Recover
                   { donor = d.Skeen.server; last_set = Skeen.Int_set.empty }
             | None -> verdict)
@@ -948,7 +953,8 @@ let rec run_recovery t ~attempt =
             t.stayed_up <- true;
             t.forced_recovery <- false;
             write_commit_block t ~recovering:false;
-            emit t ~name:"recovered" (fun () ->
+            if tracing t then
+              emit t ~name:"recovered"
                 [
                   ("server", Sim.Trace.Int t.server_id);
                   ( "view",
@@ -956,10 +962,11 @@ let rec run_recovery t ~attempt =
                       (String.concat ","
                          (List.map string_of_int (Group.Member.members g))) );
                   ("useq", Sim.Trace.Int t.useq);
-                ])
+                ]
           end
       | Skeen.Wait_for missing ->
-          emit t ~name:"wait_last_set" (fun () ->
+          if tracing t then
+            emit t ~name:"wait_last_set"
               [
                 ("server", Sim.Trace.Int t.server_id);
                 ( "missing",
@@ -967,7 +974,7 @@ let rec run_recovery t ~attempt =
                     (String.concat ","
                        (List.map string_of_int
                           (Skeen.Int_set.elements missing))) );
-              ]);
+              ];
           if tries > 6 then run_recovery t ~attempt:(attempt + 1)
           else begin
             Sim.Timer.sleep 60.0;

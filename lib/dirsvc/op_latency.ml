@@ -30,8 +30,8 @@ let time t ~op f =
   (match t.metrics with
   | Some m -> Sim.Metrics.Histogram.observe (histogram t m ~op) elapsed
   | None -> ());
-  Sim.Engine.emit t.engine ~subsystem:"dirsvc" ~node:t.node ~name:"op"
-    (fun () ->
+  if Sim.Engine.tracing t.engine then
+    Sim.Engine.emit t.engine ~subsystem:"dirsvc" ~node:t.node ~name:"op"
       [
         ("op", Sim.Trace.Str op);
         ("server", t.server);
@@ -39,5 +39,5 @@ let time t ~op f =
         ( "status",
           Sim.Trace.Str
             (match reply with Wire.Err_rep _ -> "err" | _ -> "ok") );
-      ]);
+      ];
   reply

@@ -185,8 +185,8 @@ let clear_batch t =
 let emit t ~name attrs =
   Sim.Engine.emit t.engine ~subsystem:"grp" ~node:t.me ~name attrs
 
-(* Guard for per-packet emits: the attrs thunk is a closure allocated at
-   the call site even when tracing is off, so the hot path checks first. *)
+(* Every [emit] is guarded by [tracing t], so the attribute list is only
+   built when a trace buffer is installed. *)
 let tracing t = Sim.Engine.tracing t.engine
 
 let members t = t.members
@@ -225,8 +225,9 @@ let fail_pending_sends t reason =
 
 let declare_broken t ~notify_peers reason =
   if t.status = Normal then begin
-    emit t ~name:"broken" (fun () ->
-        [ ("gname", Sim.Trace.Str t.gname); ("reason", Sim.Trace.Str reason) ]);
+    if tracing t then
+      emit t ~name:"broken"
+        [ ("gname", Sim.Trace.Str t.gname); ("reason", Sim.Trace.Str reason) ];
     t.status <- Broken;
     clear_batch t;
     fail_pending_sends t reason;
@@ -274,9 +275,11 @@ let check_pending_done t =
       send_done t ~origin ~uid)
     ready
 
+(* The heartbeat path (every [Hb_ack], every detector tick) probes with
+   [Hashtbl.find] and catches [Not_found]: [find_opt] boxes each hit. *)
 let record_ack t ~member ~have_upto =
   let previous =
-    match Hashtbl.find_opt t.acked member with Some v -> v | None -> -1
+    match Hashtbl.find t.acked member with v -> v | exception Not_found -> -1
   in
   if have_upto > previous then Hashtbl.replace t.acked member have_upto;
   Hashtbl.replace t.last_heard member (now t);
@@ -286,19 +289,21 @@ let record_ack t ~member ~have_upto =
 
 let deliver_entry t seqno (entry : Wire.entry) =
   if tracing t then
-    emit t ~name:"deliver" (fun () ->
-        let kind, origin =
-          match entry with
-          | Wire.App { origin; _ } -> ("app", origin)
-          | Wire.Join_member m -> ("join", m)
-          | Wire.Leave_member m -> ("leave", m)
-        in
+    begin
+      let kind, origin =
+        match entry with
+        | Wire.App { origin; _ } -> ("app", origin)
+        | Wire.Join_member m -> ("join", m)
+        | Wire.Leave_member m -> ("leave", m)
+      in
+      emit t ~name:"deliver"
         [
           ("gname", Sim.Trace.Str t.gname);
           ("seqno", Sim.Trace.Int seqno);
           ("kind", Sim.Trace.Str kind);
           ("origin", Sim.Trace.Int origin);
-        ]);
+        ]
+    end;
   match entry with
   | Wire.App { origin; payload; _ } ->
       Sim.Mailbox.send t.deliver_q (Delivery (Msg { seqno; origin; payload }))
@@ -369,12 +374,13 @@ let request_retrans t =
     && now t -. t.last_retrans_req > 4.0
   then begin
     t.last_retrans_req <- now t;
-    emit t ~name:"retrans.req" (fun () ->
+    if tracing t then
+      emit t ~name:"retrans.req"
         [
           ("gname", Sim.Trace.Str t.gname);
           ("from", Sim.Trace.Int (t.contig + 1));
           ("highest_seen", Sim.Trace.Int t.highest_seen);
-        ]);
+        ];
     unicast t ~dst:t.sequencer k_retrans
       (Wire.Retrans
          { gname = t.gname; epoch = t.epoch; member = t.me; from = t.contig + 1 })
@@ -394,8 +400,8 @@ let assign_and_multicast t entry =
   t.seq_next <- seqno + 1;
   t.last_data_sent <- now t;
   if tracing t then
-    emit t ~name:"assign" (fun () ->
-        [ ("gname", Sim.Trace.Str t.gname); ("seqno", Sim.Trace.Int seqno) ]);
+    emit t ~name:"assign"
+      [ ("gname", Sim.Trace.Str t.gname); ("seqno", Sim.Trace.Int seqno) ];
   (* The sequencer is the authoritative history: record the entry before
      anything else so retransmission can always serve it, then deliver it
      locally right away (the loopback copy becomes a harmless duplicate). *)
@@ -415,12 +421,12 @@ let flush_batch t =
     t.batch_n <- 0;
     t.last_data_sent <- now t;
     if tracing t then
-      emit t ~name:"assign.batch" (fun () ->
-          [
-            ("gname", Sim.Trace.Str t.gname);
-            ("base", Sim.Trace.Int base);
-            ("count", Sim.Trace.Int count);
-          ]);
+      emit t ~name:"assign.batch"
+        [
+          ("gname", Sim.Trace.Str t.gname);
+          ("base", Sim.Trace.Int base);
+          ("count", Sim.Trace.Int count);
+        ];
     if t.batch_bodies then begin
       (* BB: every body already traveled by its sender's own broadcast,
          so one flat Accept orders the whole batch. *)
@@ -607,13 +613,14 @@ let handle_join_req t ~joiner ~uid =
 let handle_retrans t ~member ~from =
   let upto = min (from + t.config.retrans_batch - 1) (t.seq_next - 1) in
   count t k_retrans_served;
-  emit t ~name:"retrans" (fun () ->
+  if tracing t then
+    emit t ~name:"retrans"
       [
         ("gname", Sim.Trace.Str t.gname);
         ("member", Sim.Trace.Int member);
         ("from", Sim.Trace.Int from);
         ("upto", Sim.Trace.Int upto);
-      ]);
+      ];
   if batching t then begin
     (* A seqno ordered inside a batch is resent inside a batch: each
        contiguous stored run in [from..upto] travels as one covering
@@ -746,7 +753,8 @@ let apply_reset_commit t ~epoch ~members:new_members ~sequencer ~base ~patch =
         new_members
     end;
     Sim.Condvar.broadcast t.changed;
-    emit t ~name:"view" (fun () ->
+    if tracing t then
+      emit t ~name:"view"
         [
           ("gname", Sim.Trace.Str t.gname);
           ("instance", Sim.Trace.Int epoch.instance);
@@ -755,7 +763,7 @@ let apply_reset_commit t ~epoch ~members:new_members ~sequencer ~base ~patch =
           ( "members",
             Sim.Trace.Str
               (String.concat "," (List.map string_of_int new_members)) );
-        ])
+        ]
   end
 
 let reset t =
@@ -960,13 +968,24 @@ let handle_packet t (packet : Simnet.Packet.t) =
    [Proc.sleep] while the member is alive: the timer fires at the same
    (time, seq) slot the sleep event occupied. *)
 let fd_sleep t =
-  Sim.Proc.suspend (fun w ->
-      let tm =
-        Sim.Timer.after t.engine ~delay:t.config.heartbeat_period (fun () ->
-            ignore (Sim.Proc.Waker.wake w ()))
-      in
-      Sim.Proc.Waker.on_wake w (fun () -> Sim.Timer.cancel tm);
+  Sim.Timer.sleep t.config.heartbeat_period ~armed:(fun tm ->
       t.fd_tick <- Some tm)
+
+(* The sequencer's side of failure detection: declare the group broken
+   at the first member silent for longer than [fail_timeout]. *)
+let rec check_members t = function
+  | [] -> ()
+  | m :: rest ->
+      (if m <> t.me && t.status = Normal then
+         let heard =
+           match Hashtbl.find t.last_heard m with
+           | v -> v
+           | exception Not_found -> 0.0
+         in
+         if now t -. heard > t.config.fail_timeout then
+           declare_broken t ~notify_peers:true
+             (Printf.sprintf "member %d silent" m));
+      check_members t rest
 
 let failure_detector t () =
   while t.status <> Left do
@@ -978,18 +997,7 @@ let failure_detector t () =
           multicast t k_hb
             (Wire.Heartbeat
                { gname = t.gname; epoch = t.epoch; highest = t.seq_next - 1 });
-        List.iter
-          (fun m ->
-            if m <> t.me && t.status = Normal then
-              let heard =
-                match Hashtbl.find_opt t.last_heard m with
-                | Some v -> v
-                | None -> 0.0
-              in
-              if now t -. heard > t.config.fail_timeout then
-                declare_broken t ~notify_peers:true
-                  (Printf.sprintf "member %d silent" m))
-          t.members
+        check_members t t.members
       end
       else if now t -. t.last_from_seq > t.config.fail_timeout then
         declare_broken t ~notify_peers:true "sequencer silent"
@@ -1145,12 +1153,12 @@ let send t ?size payload =
     match t.config.dissemination with Types.Pb -> "pb" | Types.Bb -> "bb"
   in
   if tracing t then
-    emit t ~name:"send" (fun () ->
-        [
-          ("gname", Sim.Trace.Str t.gname);
-          ("uid", Sim.Trace.Int uid);
-          ("method", Sim.Trace.Str meth);
-        ]);
+    emit t ~name:"send"
+      [
+        ("gname", Sim.Trace.Str t.gname);
+        ("uid", Sim.Trace.Int uid);
+        ("method", Sim.Trace.Str meth);
+      ];
   let rec attempt n =
     if t.status <> Normal || Types.epoch_compare t.epoch epoch0 <> 0 then
       raise (Group_failure "group changed during send");
@@ -1181,22 +1189,23 @@ let send t ?size payload =
         | Some c -> Sim.Metrics.Histogram.observe c.c_send_ms wait
         | None -> ());
         if tracing t then
-          emit t ~name:"send.done" (fun () ->
-              [
-                ("gname", Sim.Trace.Str t.gname);
-                ("uid", Sim.Trace.Int uid);
-                ("wait_ms", Sim.Trace.Float wait);
-                ("attempts", Sim.Trace.Int n);
-              ])
+          emit t ~name:"send.done"
+            [
+              ("gname", Sim.Trace.Str t.gname);
+              ("uid", Sim.Trace.Int uid);
+              ("wait_ms", Sim.Trace.Float wait);
+              ("attempts", Sim.Trace.Int n);
+            ]
     | exception Sim.Proc.Timeout ->
         Hashtbl.remove t.pending_sends uid;
         count t k_send_retry;
-        emit t ~name:"send.retry" (fun () ->
+        if tracing t then
+          emit t ~name:"send.retry"
             [
               ("gname", Sim.Trace.Str t.gname);
               ("uid", Sim.Trace.Int uid);
               ("attempt", Sim.Trace.Int n);
-            ]);
+            ];
         attempt (n + 1)
   in
   ignore size;

@@ -49,40 +49,45 @@ let fresh_xid t =
 
 let send t ~dst payload = Simnet.Network.send t.net t.nic ~dst ~proto:Wire.proto payload
 
+(* Only a service with an idle worker thread answers a Locate or
+   accepts a Request (the paper's NOTHERE heuristic). *)
+let listening service =
+  service.active && Sim.Mailbox.waiters service.queue > 0
+
+(* Per-packet probes use [Hashtbl.find] and catch [Not_found] (a
+   preallocated exception): [find_opt] allocates a [Some] per hit. *)
 let handle_packet t (packet : Simnet.Packet.t) =
   match packet.payload with
   | Wire.Locate { port; xid; client } -> (
-      match Hashtbl.find_opt t.services port with
-      | Some service when service.active && Sim.Mailbox.waiters service.queue > 0
-        ->
+      match Hashtbl.find t.services port with
+      | service when listening service ->
           send t ~dst:client (Wire.Here_is { port; xid; server = t.node_id })
-      | Some _ | None -> ())
+      | _ | (exception Not_found) -> ())
   | Wire.Request { port; xid; client; body } -> (
-      match Hashtbl.find_opt t.services port with
-      | Some service when service.active && Sim.Mailbox.waiters service.queue > 0
-        ->
+      match Hashtbl.find t.services port with
+      | service when listening service ->
           Sim.Mailbox.send service.queue (xid, client, body)
-      | Some _ | None ->
+      | _ | (exception Not_found) ->
           send t ~dst:client (Wire.Not_here { port; xid; server = t.node_id }))
   | Wire.Reply { xid; server; body } -> (
-      match Hashtbl.find_opt t.pending xid with
-      | Some ivar ->
+      match Hashtbl.find t.pending xid with
+      | ivar ->
           Hashtbl.remove t.pending xid;
           (* The kernel acknowledges the reply: third packet of the
              3-message Amoeba RPC. *)
           send t ~dst:server (Wire.Ack { xid; client = t.node_id });
           Sim.Ivar.fill ivar (Got_reply body)
-      | None -> ())
+      | exception Not_found -> ())
   | Wire.Not_here { xid; _ } -> (
-      match Hashtbl.find_opt t.pending xid with
-      | Some ivar ->
+      match Hashtbl.find t.pending xid with
+      | ivar ->
           Hashtbl.remove t.pending xid;
           Sim.Ivar.fill ivar Bounced
-      | None -> ())
+      | exception Not_found -> ())
   | Wire.Here_is { xid; server; _ } -> (
-      match Hashtbl.find_opt t.locates xid with
-      | Some responders -> responders := server :: !responders
-      | None -> ())
+      match Hashtbl.find t.locates xid with
+      | responders -> responders := server :: !responders
+      | exception Not_found -> ())
   | Wire.Ack _ -> ()
   | _ -> ()
 
@@ -157,6 +162,8 @@ let drop_cached t ~port server =
   | Some l -> l := List.filter (fun s -> s <> server) !l
   | None -> ()
 
+let tracing t = Sim.Engine.tracing (Simnet.Network.engine t.net)
+
 let emit t ~name attrs =
   Sim.Engine.emit (Simnet.Network.engine t.net) ~subsystem:"rpc"
     ~node:t.node_id ~name attrs
@@ -168,22 +175,24 @@ let locate t ~port =
   let xid = fresh_xid t in
   let responders = ref [] in
   Hashtbl.replace t.locates xid responders;
-  emit t ~name:"locate" (fun () ->
-      [ ("port", Sim.Trace.Str port); ("xid", Sim.Trace.Int xid) ]);
+  if tracing t then
+    emit t ~name:"locate"
+      [ ("port", Sim.Trace.Str port); ("xid", Sim.Trace.Int xid) ];
   Simnet.Network.multicast t.net t.nic ~proto:Wire.proto
     (Wire.Locate { port; xid; client = t.node_id });
   Sim.Proc.sleep t.config.locate_window;
   Hashtbl.remove t.locates xid;
   let in_arrival_order = List.rev !responders in
   Hashtbl.replace t.port_cache port (ref in_arrival_order);
-  emit t ~name:"locate.done" (fun () ->
+  if tracing t then
+    emit t ~name:"locate.done"
       [
         ("port", Sim.Trace.Str port);
         ("xid", Sim.Trace.Int xid);
         ( "servers",
           Sim.Trace.Str
             (String.concat "," (List.map string_of_int in_arrival_order)) );
-      ]);
+      ];
   in_arrival_order
 
 let ensure_located t ~port =
@@ -219,19 +228,21 @@ let trans t ~port ?timeout ?(size = 128) body =
         let xid = fresh_xid t in
         let ivar = Sim.Ivar.create () in
         Hashtbl.replace t.pending xid ivar;
-        emit t ~name:"trans" (fun () ->
+        if tracing t then
+          emit t ~name:"trans"
             [
               ("port", Sim.Trace.Str port);
               ("xid", Sim.Trace.Int xid);
               ("server", Sim.Trace.Int server);
               ("attempt", Sim.Trace.Int n);
               ("size", Sim.Trace.Int size);
-            ]);
+            ];
         Simnet.Network.send t.net t.nic ~dst:server ~proto:Wire.proto ~size
           (Wire.Request { port; xid; client = t.node_id; body });
         match Sim.Ivar.read ~timeout ivar with
         | Got_reply reply ->
-            emit t ~name:"trans.done" (fun () ->
+            if tracing t then
+              emit t ~name:"trans.done"
                 [
                   ("port", Sim.Trace.Str port);
                   ("xid", Sim.Trace.Int xid);
@@ -241,26 +252,28 @@ let trans t ~port ?timeout ?(size = 128) body =
                     Sim.Trace.Float
                       (Sim.Engine.now (Simnet.Network.engine t.net) -. started)
                   );
-                ]);
+                ];
             reply
         | Bounced ->
             (* NOTHERE: the server was busy; try the next cached one. *)
-            emit t ~name:"trans.bounce" (fun () ->
+            if tracing t then
+              emit t ~name:"trans.bounce"
                 [
                   ("port", Sim.Trace.Str port);
                   ("xid", Sim.Trace.Int xid);
                   ("server", Sim.Trace.Int server);
-                ]);
+                ];
             drop_cached t ~port server;
             attempt (n + 1)
         | exception Sim.Proc.Timeout ->
             Hashtbl.remove t.pending xid;
-            emit t ~name:"trans.timeout" (fun () ->
+            if tracing t then
+              emit t ~name:"trans.timeout"
                 [
                   ("port", Sim.Trace.Str port);
                   ("xid", Sim.Trace.Int xid);
                   ("server", Sim.Trace.Int server);
-                ]);
+                ];
             drop_cached t ~port server;
             attempt (n + 1))
   in

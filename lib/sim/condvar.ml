@@ -1,19 +1,22 @@
-type t = { mutable wait_queue : unit Proc.Waker.t list (* oldest first *) }
+type t = { wait_queue : unit Proc.Waker.t Queue.t }
 
-let create () = { wait_queue = [] }
+let create () = { wait_queue = Queue.create () }
 
 let wait ?timeout t =
-  let engine = Proc.engine () in
-  Proc.suspend (fun waker ->
-      t.wait_queue <- t.wait_queue @ [ waker ];
-      match timeout with
-      | None -> ()
-      | Some d -> ignore (Timer.guard engine waker ~delay:d Proc.Timeout))
+  match timeout with
+  | None -> Proc.suspend (fun waker -> Queue.push waker t.wait_queue)
+  | Some d ->
+      let engine = Proc.engine () in
+      Proc.suspend (fun waker ->
+          Queue.push waker t.wait_queue;
+          Timer.guard engine waker ~delay:d Proc.Timeout)
 
+(* Wake exactly the fibers waiting now, oldest first: a woken fiber
+   resumes in a later event, so nothing re-enters the queue meanwhile. *)
 let broadcast t =
-  let waiting = t.wait_queue in
-  t.wait_queue <- [];
-  List.iter (fun waker -> ignore (Proc.Waker.wake waker ())) waiting
+  while not (Queue.is_empty t.wait_queue) do
+    ignore (Proc.Waker.wake (Queue.take t.wait_queue) ())
+  done
 
 let await ?timeout t pred =
   (* The overall timeout is budgeted across successive waits. *)

@@ -1,14 +1,23 @@
-(* Timers are heap entries that can be tombstoned in O(1): [cancel_timer]
-   flips the state and the run loop discards the corpse when it surfaces,
-   without executing it, without counting it, and without advancing the
-   clock. This is what lets timeout guards (mailbox/condvar/ivar waits,
-   RPC attempt timers) vanish from the event count when the guarded thing
-   happens first — which is almost always. *)
-type timer_state = Armed of (unit -> unit) | Fired | Cancelled
+(* [Call (f, a, b)] runs [f a b]: the closure-free event a fiber wakeup
+   schedules ([f] is a top-level function, so the only allocation is
+   this block).
 
-type timer = { mutable state : timer_state }
+   A [Timer] is a heap entry that can be tombstoned in O(1):
+   [cancel_timer] swaps its action for [disarmed] and the run loop
+   discards the corpse when it surfaces, without executing or counting
+   it. This is what lets timeout guards (mailbox/condvar/ivar waits, RPC
+   attempt timers) vanish from the event count when the guarded thing
+   happens first — which is almost always. The entry is its own handle,
+   one block, and drops its action once fired or canceled, so a kept
+   handle does not pin the fiber the action would have woken. *)
+type event =
+  | Thunk of (unit -> unit)
+  | Call : ('a -> 'b -> unit) * 'a * 'b -> event
+  | Timer of { mutable action : unit -> unit }
 
-type event = Thunk of (unit -> unit) | Timer of timer
+type timer = event
+
+let disarmed () = ()
 
 type t = {
   mutable now : float;
@@ -47,25 +56,30 @@ let fresh_id t =
 
 let rng t = t.rng
 
+(* A zero delay (every fiber wakeup) passes the clock's own boxed float
+   instead of boxing a fresh [now +. 0.0]: the same value. *)
 let push t ~delay cell =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   t.seq <- t.seq + 1;
-  Heap.push t.heap ~time:(t.now +. delay) ~seq:t.seq cell
+  if delay = 0.0 then Heap.push t.heap ~time:t.now ~seq:t.seq cell
+  else Heap.push t.heap ~time:(t.now +. delay) ~seq:t.seq cell
 
 let schedule t ~delay f = push t ~delay (Thunk f)
 
+let schedule_call t ~delay f a b = push t ~delay (Call (f, a, b))
+
 let schedule_timer t ~delay f =
-  let tm = { state = Armed f } in
-  push t ~delay (Timer tm);
+  let tm = Timer { action = f } in
+  push t ~delay tm;
   tm
 
-let cancel_timer tm =
-  match tm.state with
-  | Armed _ -> tm.state <- Cancelled
-  | Fired | Cancelled -> ()
+let cancel_timer = function
+  | Timer tm -> tm.action <- disarmed
+  | Thunk _ | Call _ -> ()
 
-let timer_active tm =
-  match tm.state with Armed _ -> true | Fired | Cancelled -> false
+let timer_active = function
+  | Timer tm -> tm.action != disarmed
+  | Thunk _ | Call _ -> false
 
 let stop t = t.stop_requested <- true
 
@@ -73,14 +87,16 @@ let events_executed t = t.events_executed
 
 let set_trace t trace = t.trace <- trace
 
-let tracing t = t.trace <> None
+let tracing t = match t.trace with Some _ -> true | None -> false
 
-(* [attrs] is a thunk so that instrumented hot paths pay nothing beyond
-   a closure when tracing is off. *)
 let emit t ~subsystem ~node ~name attrs =
   match t.trace with
   | None -> ()
-  | Some trace -> Trace.emit trace ~time:t.now ~subsystem ~node ~name (attrs ())
+  | Some trace -> Trace.emit trace ~time:t.now ~subsystem ~node ~name attrs
+
+let count_event t time =
+  t.now <- time;
+  t.events_executed <- t.events_executed + 1
 
 let run ?until t =
   t.stop_requested <- false;
@@ -100,22 +116,25 @@ let run ?until t =
       | _ -> (
           match Heap.pop_min_value t.heap with
           | Thunk f ->
-              t.now <- time;
-              t.events_executed <- t.events_executed + 1;
+              count_event t time;
               f ()
-          | Timer tm -> (
-              match tm.state with
-              | Armed f ->
-                  tm.state <- Fired;
-                  t.now <- time;
-                  t.events_executed <- t.events_executed + 1;
-                  f ()
-              (* Tombstone: discarded without running or counting. The
-                 clock still advances, exactly as when the entry fired
-                 as a dead no-op event — [now] at a drained-heap [run]
-                 exit is observable (drivers anchor their next quantum
-                 on it), and same-seed runs must not shift by an ulp
-                 across versions. *)
-              | Cancelled | Fired -> t.now <- time))
+          | Call (f, a, b) ->
+              count_event t time;
+              f a b
+          | Timer tm ->
+              let f = tm.action in
+              if f != disarmed then begin
+                tm.action <- disarmed;
+                count_event t time;
+                f ()
+              end
+              else
+                (* Tombstone: discarded without running or counting. The
+                   clock still advances, exactly as when the entry fired
+                   as a dead no-op event — [now] at a drained-heap [run]
+                   exit is observable (drivers anchor their next quantum
+                   on it), and same-seed runs must not shift by an ulp
+                   across versions. *)
+                t.now <- time)
     end
   done

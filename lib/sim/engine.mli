@@ -27,14 +27,19 @@ val fresh_id : t -> int
     non-negative. *)
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 
+(** [schedule_call t ~delay f a b] is [schedule t ~delay (fun () -> f a b)]
+    without the closure: with a top-level [f] the event allocates one
+    small block. Fiber wakeups use it. *)
+val schedule_call : t -> delay:float -> ('a -> 'b -> unit) -> 'a -> 'b -> unit
+
 (** A cancelable timer handle (see {!Timer} for the public face). *)
 type timer
 
 (** [schedule_timer t ~delay f] is [schedule], but returns a handle that
     can revoke the event. A canceled timer is tombstoned in place: the
     run loop discards it when it reaches the top of the heap without
-    executing it, counting it in {!events_executed}, or advancing the
-    clock — it costs one lazy heap pop instead of a simulated event. *)
+    executing it or counting it in {!events_executed} — it costs one
+    lazy heap pop instead of a simulated event. *)
 val schedule_timer : t -> delay:float -> (unit -> unit) -> timer
 
 (** O(1); idempotent; a no-op after the timer fired. *)
@@ -56,18 +61,20 @@ val stop : t -> unit
 val events_executed : t -> int
 
 (** Optional structured trace buffer (see {!Trace}). [None] disables
-    tracing; instrumented code pays only a closure allocation then. *)
+    tracing. *)
 val set_trace : t -> Trace.t option -> unit
 
+(** Whether a trace buffer is installed. Every {!emit} call site checks
+    it first — [if Engine.tracing e then Engine.emit e ... [ ... ]] — so
+    with tracing off the attribute list is never built. *)
 val tracing : t -> bool
 
 (** [emit t ~subsystem ~node ~name attrs] records a trace event stamped
-    with the current virtual time. [attrs] is a thunk, forced only when
-    a trace buffer is installed — keep attribute construction inside it. *)
+    with the current virtual time; a no-op without a trace buffer. *)
 val emit :
   t ->
   subsystem:string ->
   node:int ->
   name:string ->
-  (unit -> (string * Trace.attr) list) ->
+  (string * Trace.attr) list ->
   unit

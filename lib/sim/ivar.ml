@@ -1,56 +1,56 @@
-type 'a state = Empty | Full of ('a, exn) result
+type 'a state = Empty | Value of 'a | Failed of exn
 
 type 'a t = {
   mutable state : 'a state;
-  mutable readers : 'a Proc.Waker.t list; (* oldest first *)
+  readers : 'a Proc.Waker.t Queue.t;
   (* Called synchronously inside [complete], from whatever event filled
      the ivar — no fiber, no extra engine event, no RNG. This is what
      lets a driver loop stop the engine the instant a completion ivar
-     fills instead of polling for it on a quantum. *)
-  mutable watchers : (unit -> unit) list; (* oldest first *)
+     fills instead of polling for it on a quantum. Newest first: few
+     ivars ever get a watcher, so none pays for a second queue. *)
+  mutable watchers : (unit -> unit) list;
 }
 
-let create () = { state = Empty; readers = []; watchers = [] }
+let create () = { state = Empty; readers = Queue.create (); watchers = [] }
 
-let complete t result =
+let complete t state =
   match t.state with
-  | Full _ -> ()
+  | Value _ | Failed _ -> ()
   | Empty ->
-      t.state <- Full result;
-      let readers = t.readers in
-      t.readers <- [];
-      let wake waker =
-        match result with
-        | Ok v -> ignore (Proc.Waker.wake waker v)
-        | Error e -> ignore (Proc.Waker.wake_exn waker e)
-      in
-      List.iter wake readers;
+      t.state <- state;
+      while not (Queue.is_empty t.readers) do
+        let waker = Queue.take t.readers in
+        match state with
+        | Value v -> ignore (Proc.Waker.wake waker v)
+        | Failed e -> ignore (Proc.Waker.wake_exn waker e)
+        | Empty -> ()
+      done;
       let watchers = t.watchers in
       t.watchers <- [];
-      List.iter (fun f -> f ()) watchers
+      List.iter (fun f -> f ()) (List.rev watchers)
 
-let fill t v = complete t (Ok v)
+let fill t v = complete t (Value v)
 
-let fill_exn t e = complete t (Error e)
+let fill_exn t e = complete t (Failed e)
 
-let is_filled t = match t.state with Full _ -> true | Empty -> false
+let is_filled t = match t.state with Value _ | Failed _ -> true | Empty -> false
 
-let peek t =
-  match t.state with Full (Ok v) -> Some v | Full (Error _) | Empty -> None
+let peek t = match t.state with Value v -> Some v | Failed _ | Empty -> None
 
 let on_fill t f =
   match t.state with
-  | Full _ -> f ()
-  | Empty -> t.watchers <- t.watchers @ [ f ]
+  | Value _ | Failed _ -> f ()
+  | Empty -> t.watchers <- f :: t.watchers
 
 let read ?timeout t =
   match t.state with
-  | Full (Ok v) -> v
-  | Full (Error e) -> raise e
-  | Empty ->
-      let engine = Proc.engine () in
-      Proc.suspend (fun waker ->
-          t.readers <- t.readers @ [ waker ];
-          match timeout with
-          | None -> ()
-          | Some d -> ignore (Timer.guard engine waker ~delay:d Proc.Timeout))
+  | Value v -> v
+  | Failed e -> raise e
+  | Empty -> (
+      match timeout with
+      | None -> Proc.suspend (fun waker -> Queue.push waker t.readers)
+      | Some d ->
+          let engine = Proc.engine () in
+          Proc.suspend (fun waker ->
+              Queue.push waker t.readers;
+              Timer.guard engine waker ~delay:d Proc.Timeout))

@@ -2,66 +2,90 @@ exception Timeout
 
 exception Cancelled of string
 
-module Waker = struct
-  type 'a t = {
-    mutable used : bool;
-    viable : unit -> bool;
-    fire : ('a, exn) result -> unit;
-    (* Run once, at the moment the waker is consumed — the hook through
-       which a successful wakeup revokes its guard timer, so the timeout
-       event is tombstoned instead of popping later as a dead no-op. *)
-    mutable cleanup : (unit -> unit) option;
-  }
-
-  let is_viable w = (not w.used) && w.viable ()
-
-  let on_wake w f =
-    match w.cleanup with
-    | None -> w.cleanup <- Some f
-    | Some g ->
-        w.cleanup <-
-          Some
-            (fun () ->
-              g ();
-              f ())
-
-  let consumed w =
-    w.used <- true;
-    match w.cleanup with
-    | None -> ()
-    | Some f ->
-        w.cleanup <- None;
-        f ()
-
-  let wake w v =
-    if is_viable w then begin
-      consumed w;
-      w.fire (Ok v);
-      true
-    end
-    else false
-
-  let wake_exn w e =
-    if is_viable w then begin
-      consumed w;
-      w.fire (Error e);
-      true
-    end
-    else false
-end
-
 type ctx = {
   engine : Engine.t;
   node : Node.t;
   incarnation : int;
   name : string;
+  self : ctx option; (* [Some] of this very record: the slot's value *)
 }
 
-type _ Effect.t +=
-  | Suspend : ('a Waker.t -> unit) -> 'a Effect.t
-  | Get_ctx : ctx Effect.t
+let viable ctx =
+  Node.is_alive ctx.node && Node.incarnation ctx.node = ctx.incarnation
 
-let rec run_fiber ctx f =
+(* The running fiber's ctx: set when a fiber is entered (booted or
+   resumed) and restored when it suspends or finishes. The slot is
+   domain-local because [Sim.Pool] runs engines on several domains at
+   once. It holds [ctx.self], built once at boot, so entering a fiber
+   swaps a pointer and allocates nothing. *)
+let running : ctx option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let current fn =
+  match !(Domain.DLS.get running) with
+  | Some ctx -> ctx
+  | None -> invalid_arg ("Sim.Proc." ^ fn ^ ": called outside a fiber")
+
+(* Run [f a b] as the fiber of [ctx], then put the previous occupant of
+   the slot back — also when [f] raises, since a fiber's uncaught
+   exception aborts the run and the slot must not keep a dead fiber. *)
+let within ctx f a b =
+  let slot = Domain.DLS.get running in
+  let saved = !slot in
+  slot := ctx.self;
+  match f a b with
+  | () -> slot := saved
+  | exception e ->
+      slot := saved;
+      raise e
+
+module Waker = struct
+  type 'a t = {
+    ctx : ctx;
+    k : ('a, unit) Effect.Deep.continuation;
+    mutable used : bool;
+    (* A timeout racing this wakeup ({!Timer.guard}): canceled when the
+       waker is consumed, so the guard is tombstoned instead of popping
+       later as a dead event. *)
+    mutable guard : Engine.timer option;
+  }
+
+  let is_viable w = (not w.used) && viable w.ctx
+
+  let set_guard w tm = w.guard <- Some tm
+
+  let consumed w =
+    w.used <- true;
+    match w.guard with
+    | None -> ()
+    | Some tm ->
+        w.guard <- None;
+        Engine.cancel_timer tm
+
+  (* The resume event re-checks viability: the node may crash between
+     the wakeup and the event. *)
+  let resume w v =
+    if viable w.ctx then within w.ctx Effect.Deep.continue w.k v
+
+  let resume_exn w e =
+    if viable w.ctx then within w.ctx Effect.Deep.discontinue w.k e
+
+  let fire w f v =
+    if is_viable w then begin
+      consumed w;
+      Engine.schedule_call w.ctx.engine ~delay:0.0 f w v;
+      true
+    end
+    else false
+
+  let wake w v = fire w resume v
+
+  let wake_exn w e = fire w resume_exn e
+end
+
+type _ Effect.t += Suspend : ('a Waker.t -> unit) -> 'a Effect.t
+
+let run_fiber ctx f =
   let open Effect.Deep in
   match_with f ()
     {
@@ -69,63 +93,48 @@ let rec run_fiber ctx f =
       (* A fiber's uncaught exception aborts the whole run: protocol code
          is expected to handle its own errors, so anything escaping is a
          bug we want tests to see immediately. *)
-      exnc = (fun e -> raise e);
+      exnc = raise;
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
           | Suspend register ->
               Some
-                (fun (k : (a, _) continuation) ->
-                  let viable () =
-                    Node.is_alive ctx.node
-                    && Node.incarnation ctx.node = ctx.incarnation
-                  in
-                  let fire res =
-                    Engine.schedule ctx.engine ~delay:0.0 (fun () ->
-                        if viable () then
-                          match res with
-                          | Ok v -> continue k v
-                          | Error e -> discontinue k e)
-                  in
-                  register { Waker.used = false; viable; fire; cleanup = None })
-          | Get_ctx -> Some (fun (k : (a, _) continuation) -> continue k ctx)
+                (fun (k : (a, unit) continuation) ->
+                  register { Waker.ctx; k; used = false; guard = None })
           | _ -> None);
     }
 
-and boot engine node ?(name = "fiber") f =
+let boot engine node ?(name = "fiber") f =
   Engine.schedule engine ~delay:0.0 (fun () ->
       if Node.is_alive node then
-        run_fiber
-          { engine; node; incarnation = Node.incarnation node; name }
-          f)
-
-let get_ctx () = Effect.perform Get_ctx
+        let incarnation = Node.incarnation node in
+        let rec ctx = { engine; node; incarnation; name; self = Some ctx } in
+        within ctx run_fiber ctx f)
 
 let suspend register = Effect.perform (Suspend register)
 
+let engine () = (current "engine").engine
+
+let now () = Engine.now (current "now").engine
+
 let spawn ?name f =
-  let ctx = get_ctx () in
+  let ctx = current "spawn" in
   boot ctx.engine ctx.node ?name f
 
+let wake w () = ignore (Waker.wake w ())
+
 let sleep d =
-  let ctx = get_ctx () in
-  suspend (fun w ->
-      Engine.schedule ctx.engine ~delay:d (fun () -> ignore (Waker.wake w ())))
+  let engine = (current "sleep").engine in
+  suspend (fun w -> Engine.schedule_call engine ~delay:d wake w ())
 
 let yield () = sleep 0.0
 
-let now () = Engine.now (get_ctx ()).engine
-
-let engine () = (get_ctx ()).engine
-
 let with_timeout d f =
-  let ctx = get_ctx () in
+  let ctx = current "with_timeout" in
   suspend (fun w ->
-      let tm =
-        Engine.schedule_timer ctx.engine ~delay:d (fun () ->
-            ignore (Waker.wake_exn w Timeout))
-      in
-      Waker.on_wake w (fun () -> Engine.cancel_timer tm);
+      Waker.set_guard w
+        (Engine.schedule_timer ctx.engine ~delay:d (fun () ->
+             ignore (Waker.wake_exn w Timeout)));
       boot ctx.engine ctx.node ~name:(ctx.name ^ ".timed") (fun () ->
           match f () with
           | v -> ignore (Waker.wake w v)

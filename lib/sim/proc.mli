@@ -31,12 +31,11 @@ module Waker : sig
   (** A waker is viable while it is unused and its fiber can still run. *)
   val is_viable : 'a t -> bool
 
-  (** [on_wake w f] runs [f] once, at the moment [w] is consumed by
-      {!wake} or {!wake_exn}. Used to revoke guard timers (see
-      {!Timer}): when the guarded event happens first, the pending
-      timeout is canceled instead of firing later as a dead event.
-      Multiple hooks compose in registration order. *)
-  val on_wake : 'a t -> (unit -> unit) -> unit
+  (** [set_guard w tm] parks the timer racing this wakeup in [w]: when
+      [w] is consumed by {!wake} or {!wake_exn}, [tm] is canceled, so a
+      guarded event that happens first tombstones its timeout instead of
+      letting it fire later as a dead event (see {!Timer.guard}). *)
+  val set_guard : 'a t -> Engine.timer -> unit
 end
 
 (** [boot engine node ?name f] starts a root fiber for [node]; it begins
@@ -61,7 +60,9 @@ val sleep : float -> unit
     ready events run first. *)
 val yield : unit -> unit
 
-(** Virtual time and engine of the calling fiber. *)
+(** Virtual time and engine of the calling fiber. Like {!spawn},
+    {!sleep} and {!with_timeout}, they raise [Invalid_argument] when
+    called outside a fiber. *)
 val now : unit -> float
 
 val engine : unit -> Engine.t

@@ -1,24 +1,22 @@
 type t = {
   capacity : int;
   mutable held : int;
-  mutable wait_queue : unit Proc.Waker.t list; (* oldest first *)
+  wait_queue : unit Proc.Waker.t Queue.t;
 }
 
 let create ~capacity () =
   if capacity <= 0 then invalid_arg "Resource.create: capacity must be positive";
-  { capacity; held = 0; wait_queue = [] }
+  { capacity; held = 0; wait_queue = Queue.create () }
 
 let acquire t =
   if t.held < t.capacity then t.held <- t.held + 1
-  else Proc.suspend (fun waker -> t.wait_queue <- t.wait_queue @ [ waker ])
+  else Proc.suspend (fun waker -> Queue.push waker t.wait_queue)
 
+(* Hand the unit over directly to the oldest waiter; if it died, try
+   the next. *)
 let rec release t =
-  match t.wait_queue with
-  | [] -> t.held <- t.held - 1
-  | waker :: rest ->
-      t.wait_queue <- rest;
-      (* Hand the unit over directly; if the waiter died, try the next. *)
-      if not (Proc.Waker.wake waker ()) then release t
+  if Queue.is_empty t.wait_queue then t.held <- t.held - 1
+  else if not (Proc.Waker.wake (Queue.take t.wait_queue) ()) then release t
 
 let use t d =
   acquire t;

@@ -1,12 +1,19 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes: a mutable [int64]
+   record field would be boxed, one allocation per draw. The draws
+   inline [next_raw], so its [int64] intermediates stay in registers,
+   and return native ints and floats. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
-let next_raw t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] next_raw t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -19,21 +26,18 @@ let split t = create (next_raw t)
 let derive ~base count =
   if count < 0 then invalid_arg "Rng.derive: negative count";
   let t = create base in
-  let rec go i acc =
-    if i = count then List.rev acc else go (i + 1) ((split t).state :: acc)
-  in
-  go 0 []
+  List.init count (fun _ -> next_raw t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Keep 62 bits so the value stays non-negative as a native int. *)
-  let v = Int64.to_int (Int64.shift_right_logical (next_raw t) 2) in
-  v mod bound
+  Int64.to_int (Int64.shift_right_logical (next_raw t) 2) mod bound
 
 let float t =
-  (* 53 random bits scaled into [0, 1). *)
-  let bits = Int64.shift_right_logical (next_raw t) 11 in
-  Int64.to_float bits /. 9007199254740992.0
+  (* 53 random bits scaled into [0, 1); a 53-bit int converts to float
+     exactly, as the [int64] did. *)
+  float_of_int (Int64.to_int (Int64.shift_right_logical (next_raw t) 11))
+  /. 9007199254740992.0
 
 let uniform t ~lo ~hi = lo +. ((hi -. lo) *. float t)
 

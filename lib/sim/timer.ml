@@ -7,18 +7,17 @@ let cancel = Engine.cancel_timer
 let active = Engine.timer_active
 
 let guard engine waker ~delay exn =
-  let tm =
-    Engine.schedule_timer engine ~delay (fun () ->
-        ignore (Proc.Waker.wake_exn waker exn))
-  in
-  Proc.Waker.on_wake waker (fun () -> Engine.cancel_timer tm);
-  tm
+  Proc.Waker.set_guard waker
+    (Engine.schedule_timer engine ~delay (fun () ->
+         ignore (Proc.Waker.wake_exn waker exn)))
 
-let sleep d =
+(* Only the tick holds the waker, so nothing else can wake the fiber
+   and there is no guard to revoke. *)
+let sleep ?armed d =
   let engine = Proc.engine () in
   Proc.suspend (fun w ->
       let tm =
         Engine.schedule_timer engine ~delay:d (fun () ->
             ignore (Proc.Waker.wake w ()))
       in
-      Proc.Waker.on_wake w (fun () -> Engine.cancel_timer tm))
+      match armed with None -> () | Some f -> f tm)

@@ -2,10 +2,10 @@
 
     A timer is a tombstoned heap entry: {!cancel} is O(1) and the engine
     discards the corpse lazily when it reaches the top of the heap —
-    without executing it, without counting it as a simulated event, and
-    without advancing the clock. Guard timers that rarely fire (receive
-    timeouts, RPC attempt deadlines, liveness ticks of departed members)
-    therefore cost a heap slot, not an event.
+    without executing it or counting it as a simulated event. Guard
+    timers that rarely fire (receive timeouts, RPC attempt deadlines,
+    liveness ticks of departed members) therefore cost a heap slot, not
+    an event.
 
     Cancellation is invisible to the simulation: a canceled timer draws
     no RNG and runs no code, exactly like the dead no-op event it
@@ -26,10 +26,11 @@ val active : t -> bool
 (** [guard engine waker ~delay exn] arms a timeout on a suspended
     fiber's waker: after [delay] the waker is woken with [exn]. If the
     waker is consumed first (the guarded event happened), the timer is
-    revoked automatically via {!Proc.Waker.on_wake}. *)
-val guard : Engine.t -> 'a Proc.Waker.t -> delay:float -> exn -> t
+    revoked automatically via {!Proc.Waker.set_guard}. *)
+val guard : Engine.t -> 'a Proc.Waker.t -> delay:float -> exn -> unit
 
-(** [sleep d] is {!Proc.sleep} riding a cancelable timer: the pending
-    tick is revoked if the fiber is woken through some other path.
-    Use for retry/backoff sleeps in protocol code. *)
-val sleep : float -> unit
+(** [sleep ?armed d] is {!Proc.sleep} riding a cancelable timer. [armed]
+    receives the pending tick as it is armed, so its owner can revoke it
+    (a failure detector halted mid-sleep); a revoked tick never wakes
+    the fiber. Use for retry/backoff sleeps in protocol code. *)
+val sleep : ?armed:(t -> unit) -> float -> unit

@@ -151,26 +151,34 @@ let rail_reachable rail a b =
       | _ -> false)
 
 (* One healthy rail between two hosts is enough: FLIP routes around the
-   damage without the layers above noticing. *)
-let reachable t a b =
-  a = b || Array.exists (fun rail -> rail_reachable rail a b) t.rail_states
+   damage without the layers above noticing. A top-level loop rather
+   than [Array.exists], whose closure would be allocated twice per
+   packet. *)
+let rec any_rail rails i a b =
+  i < Array.length rails
+  && (rail_reachable rails.(i) a b || any_rail rails (i + 1) a b)
+
+let reachable t a b = a = b || any_rail t.rail_states 0 a b
 
 let set_loss t p = t.loss <- p
 
 let set_fault_filter t f = t.fault_filter <- f
 
+(* The per-packet table probes below use [Hashtbl.find] and catch
+   [Not_found] (a preallocated exception) instead of [find_opt], whose
+   [Some] box would be allocated on every hit. *)
 let nic_is_live t nic =
   Sim.Node.is_alive nic.node
   && Sim.Node.incarnation nic.node = nic.incarnation
   &&
-  match Hashtbl.find_opt t.nics (Sim.Node.id nic.node) with
-  | Some current -> current == nic
-  | None -> false
+  match Hashtbl.find t.nics (Sim.Node.id nic.node) with
+  | current -> current == nic
+  | exception Not_found -> false
 
 let proto_handle c proto =
-  match Hashtbl.find_opt c.by_proto proto with
-  | Some h -> h
-  | None ->
+  match Hashtbl.find c.by_proto proto with
+  | h -> h
+  | exception Not_found ->
       let h = Sim.Metrics.counter c.cm ("net.pkt." ^ proto) in
       Hashtbl.add c.by_proto proto h;
       h
@@ -199,12 +207,12 @@ let delivery_delay t ~src ~dst =
 let deliver_later t packet ~dst ~delay =
   Sim.Engine.schedule t.engine ~delay (fun () ->
       if reachable t packet.Packet.src dst then
-        match Hashtbl.find_opt t.nics dst with
-        | Some nic when nic_is_live t nic -> (
-            match Hashtbl.find_opt nic.sockets packet.proto with
-            | Some mbox -> Sim.Mailbox.send mbox packet
-            | None -> ())
-        | Some _ | None -> ())
+        match Hashtbl.find t.nics dst with
+        | nic when nic_is_live t nic -> (
+            match Hashtbl.find nic.sockets packet.proto with
+            | mbox -> Sim.Mailbox.send mbox packet
+            | exception Not_found -> ())
+        | _ | (exception Not_found) -> ())
 
 let apply_fault_filter t packet =
   match t.fault_filter with None -> Deliver | Some f -> f packet
@@ -225,14 +233,14 @@ let send t nic ~dst ~proto ?(size = 64) payload =
     let packet =
       { Packet.src = Sim.Node.id nic.node; dst = Unicast dst; proto; payload; size }
     in
-    Sim.Engine.emit t.engine ~subsystem:"net" ~node:packet.src ~name:"send"
-      (fun () ->
+    if Sim.Engine.tracing t.engine then
+      Sim.Engine.emit t.engine ~subsystem:"net" ~node:packet.src ~name:"send"
         [
           ("dst", Sim.Trace.Int dst);
           ("proto", Sim.Trace.Str proto);
           ("size", Sim.Trace.Int size);
           ("payload", Sim.Trace.Str (Payload.to_string payload));
-        ]);
+        ];
     count_packet t proto;
     match apply_fault_filter t packet with
     | Drop -> ()
@@ -259,13 +267,13 @@ let multicast t nic ~proto ?(size = 64) payload =
   if nic_is_live t nic then begin
     let src = Sim.Node.id nic.node in
     let packet = { Packet.src; dst = Multicast; proto; payload; size } in
-    Sim.Engine.emit t.engine ~subsystem:"net" ~node:src ~name:"mcast"
-      (fun () ->
+    if Sim.Engine.tracing t.engine then
+      Sim.Engine.emit t.engine ~subsystem:"net" ~node:src ~name:"mcast"
         [
           ("proto", Sim.Trace.Str proto);
           ("size", Sim.Trace.Int size);
           ("payload", Sim.Trace.Str (Payload.to_string payload));
-        ]);
+        ];
     (* Ethernet multicast: one packet on the wire regardless of the
        number of receivers — this is what makes SendToGroup cheap. *)
     count_packet t proto;

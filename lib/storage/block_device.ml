@@ -53,7 +53,8 @@ let count t key =
 
 (* [queue_ms] at emit time = how long the op will wait behind the arm. *)
 let emit_op t ~name ~block ~latency =
-  Sim.Engine.emit t.engine ~subsystem:"storage" ~node:(-1) ~name (fun () ->
+  if Sim.Engine.tracing t.engine then
+    Sim.Engine.emit t.engine ~subsystem:"storage" ~node:(-1) ~name
       [
         ("dev", Sim.Trace.Str t.name);
         ("block", Sim.Trace.Int block);
@@ -61,7 +62,7 @@ let emit_op t ~name ~block ~latency =
           Sim.Trace.Float (max 0.0 (t.busy_until -. Sim.Engine.now t.engine))
         );
         ("latency_ms", Sim.Trace.Float latency);
-      ])
+      ]
 
 let observe_hist t key latency =
   match t.metrics with

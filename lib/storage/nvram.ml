@@ -17,6 +17,9 @@ let length t = List.length t.records
 
 let fill_ratio t = float_of_int t.used /. float_of_int t.capacity
 
+let tracing t =
+  match t.engine with Some engine -> Sim.Engine.tracing engine | None -> false
+
 let emit t ~name attrs =
   match t.engine with
   | None -> ()
@@ -30,12 +33,13 @@ let append t r =
     Sim.Proc.sleep t.write_ms;
     t.records <- r :: t.records;
     t.used <- t.used + size;
-    emit t ~name:"nvram.append" (fun () ->
+    if tracing t then
+      emit t ~name:"nvram.append"
         [
           ("bytes", Sim.Trace.Int size);
           ("used", Sim.Trace.Int t.used);
           ("records", Sim.Trace.Int (List.length t.records));
-        ]);
+        ];
     true
   end
 
@@ -53,12 +57,13 @@ let append_all t rs =
         Sim.Proc.sleep t.write_ms;
         List.iter (fun r -> t.records <- r :: t.records) rs;
         t.used <- t.used + size;
-        emit t ~name:"nvram.append" (fun () ->
+        if tracing t then
+          emit t ~name:"nvram.append"
             [
               ("bytes", Sim.Trace.Int size);
               ("used", Sim.Trace.Int t.used);
               ("records", Sim.Trace.Int (List.length t.records));
-            ]);
+            ];
         true
       end
 
@@ -69,19 +74,20 @@ let remove_if t pred =
     Sim.Proc.sleep t.write_ms;
     t.records <- kept;
     t.used <- t.used - List.fold_left (fun acc r -> acc + t.size_of r) 0 removed;
-    emit t ~name:"nvram.cancel" (fun () ->
+    if tracing t then
+      emit t ~name:"nvram.cancel"
         [
           ("removed", Sim.Trace.Int (List.length removed));
           ("used", Sim.Trace.Int t.used);
-        ]);
+        ];
     List.rev removed
   end
 
 let take_all t =
   let all = List.rev t.records in
-  if all <> [] then
-    emit t ~name:"nvram.flush" (fun () ->
-        [ ("records", Sim.Trace.Int (List.length all)) ]);
+  if all <> [] && tracing t then
+    emit t ~name:"nvram.flush"
+      [ ("records", Sim.Trace.Int (List.length all)) ];
   t.records <- [];
   t.used <- 0;
   all

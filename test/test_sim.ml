@@ -589,6 +589,104 @@ let test_cancelled_condvar_timeout_never_wakes () =
   Alcotest.(check string) "signal wins, no spurious timeout"
     "signalled; alive at 21." !outcome
 
+(* The SplitMix64 stream is part of the same-seed contract: every
+   committed figure and golden digest depends on it. Literal outputs for
+   seed 42, so a change of state representation cannot shift it. *)
+let test_rng_stream_pinned () =
+  let r = Sim.Rng.create 42L in
+  let i1 = Sim.Rng.int r max_int in
+  let i2 = Sim.Rng.int r 1_000_000 in
+  let f1 = Sim.Rng.float r in
+  let f2 = Sim.Rng.float r in
+  let child = Sim.Rng.split r in
+  let c1 = Sim.Rng.int child max_int in
+  let after_split = Sim.Rng.int r 1_000_000 in
+  Alcotest.(check (list int)) "int draws"
+    [ 3419864383188818853; 723072; 2619031928605061365; 747265 ]
+    [ i1; i2; c1; after_split ];
+  Alcotest.(check (list (float 0.0))) "float draws"
+    [ 0x1.1d499d5c4c3e6p-2; 0x1.607387fc392b8p-2 ]
+    [ f1; f2 ];
+  Alcotest.(check (list int64)) "derive"
+    [ 0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L ]
+    (Sim.Rng.derive ~base:42L 3)
+
+let test_proc_outside_fiber () =
+  Alcotest.check_raises "now"
+    (Invalid_argument "Sim.Proc.now: called outside a fiber") (fun () ->
+      ignore (Sim.Proc.now ()));
+  Alcotest.check_raises "spawn"
+    (Invalid_argument "Sim.Proc.spawn: called outside a fiber") (fun () ->
+      Sim.Proc.spawn ignore)
+
+(* The running fiber's ctx is a slot that every resume sets and
+   restores. After a nested [with_timeout] child ran, and after a whole
+   second engine ran inside this fiber, [now]/[engine]/[spawn] must
+   still act for the calling fiber. *)
+let test_ctx_restored_after_nesting () =
+  let engine = Sim.Engine.create () in
+  let node = Sim.Node.create ~id:1 in
+  let log = ref [] in
+  let note s = log := s :: !log in
+  Sim.Proc.boot engine node (fun () ->
+      Sim.Proc.sleep 3.0;
+      let v =
+        Sim.Proc.with_timeout 50.0 (fun () ->
+            Sim.Proc.with_timeout 50.0 (fun () ->
+                Sim.Proc.sleep 2.0;
+                7))
+      in
+      note (Printf.sprintf "v=%d at %.1f" v (Sim.Proc.now ()));
+      let inner = Sim.Engine.create () in
+      Sim.Proc.boot inner (Sim.Node.create ~id:2) (fun () ->
+          Sim.Proc.sleep 100.0;
+          note (Printf.sprintf "inner at %.1f" (Sim.Proc.now ())));
+      Sim.Engine.run inner;
+      note
+        (Printf.sprintf "outer at %.1f, own engine %b" (Sim.Proc.now ())
+           (Sim.Proc.engine () == engine));
+      Sim.Proc.spawn (fun () ->
+          note
+            (Printf.sprintf "child at %.1f, outer engine %b" (Sim.Proc.now ())
+               (Sim.Proc.engine () == engine)));
+      Sim.Proc.sleep 1.0;
+      Sim.Node.crash node;
+      Sim.Proc.spawn (fun () -> note "spawned on a crashed node"));
+  Sim.Engine.run engine;
+  Alcotest.(check (list string)) "each fiber sees its own ctx"
+    [
+      "v=7 at 5.0";
+      "inner at 100.0";
+      "outer at 5.0, own engine true";
+      "child at 5.0, outer engine true";
+    ]
+    (List.rev !log)
+
+(* [waiters] counts only live blocked receivers, wherever the dead ones
+   sit in the queue; a send still reaches a live one. *)
+let test_mailbox_waiters_skip_dead () =
+  let engine = Sim.Engine.create () in
+  let a = Sim.Node.create ~id:1 and b = Sim.Node.create ~id:2 in
+  let mbox : int Sim.Mailbox.t = Sim.Mailbox.create () in
+  let got = ref [] in
+  List.iter
+    (fun node ->
+      Sim.Proc.boot engine node (fun () ->
+          got := (Sim.Node.id node, Sim.Mailbox.recv mbox) :: !got))
+    [ a; b; a; b ];
+  let counts = ref [] in
+  let count () = counts := Sim.Mailbox.waiters mbox :: !counts in
+  Sim.Engine.schedule engine ~delay:1.0 (fun () ->
+      count ();
+      Sim.Node.crash a;
+      count ();
+      count ();
+      Sim.Mailbox.send mbox 42;
+      count ());
+  Sim.Engine.run engine;
+  Alcotest.(check (list int)) "live waiters" [ 4; 2; 2; 1 ] (List.rev !counts);
+  Alcotest.(check (list (pair int int))) "live fiber got it" [ (2, 42) ] !got
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -611,6 +709,10 @@ let suite =
     tc "condvar await" `Quick test_condvar_await;
     tc "determinism" `Quick test_determinism;
     tc "rng statistics" `Quick test_rng_statistics;
+    tc "rng stream pinned" `Quick test_rng_stream_pinned;
+    tc "proc outside a fiber" `Quick test_proc_outside_fiber;
+    tc "ctx restored after nesting" `Quick test_ctx_restored_after_nesting;
+    tc "mailbox waiters skip dead" `Quick test_mailbox_waiters_skip_dead;
     QCheck_alcotest.to_alcotest test_heap_property;
     QCheck_alcotest.to_alcotest test_heap_vs_reference_model;
     QCheck_alcotest.to_alcotest test_timer_vs_model;
